@@ -6,7 +6,8 @@
 //   1. Deterministic counts and checksums — selectivity checksums over a
 //      fixed probe grid (locking in the kernels' bit-identical contract),
 //      single-threaded plan-cache hit accounting, WAL fsync/append counts
-//      under group commit, and workload exec-cost at 1/2/4 threads (equal
+//      of the per-statement commit path, and workload exec-cost at 1/2/4
+//      threads (equal
 //      by the bit-identical-parallelism contract). Gated exactly: any
 //      drift on any machine is a semantic change, not noise.
 //
@@ -311,7 +312,7 @@ void PlanCacheSection(BenchJson* json) {
             (costs[0] == costs[1] && costs[1] == costs[2]) ? 1.0 : 0.0);
 }
 
-// --- Section 3: WAL group commit ------------------------------------------
+// --- Section 3: WAL commit path -------------------------------------------
 
 Workload WalWorkload(const TwoTableDb& t) {
   Workload w("wal");
@@ -328,9 +329,10 @@ Workload WalWorkload(const TwoTableDb& t) {
   return w;
 }
 
-// Runs the WAL workload at one group-commit setting; returns wall ms and
-// fills the fsync/append counts from the metrics registry.
-double RunWalOnce(int group_commit, double* fsyncs, double* appends) {
+// Runs the WAL workload (one append + one inline fsync per statement);
+// returns wall ms and fills the fsync/append counts from the metrics
+// registry.
+double RunWalOnce(double* fsyncs, double* appends) {
   namespace fs = std::filesystem;
   const std::string dir = "bench_hotpath.wal.dir";
   std::error_code ec;
@@ -339,8 +341,8 @@ double RunWalOnce(int group_commit, double* fsyncs, double* appends) {
   TwoTableDb t = MakeTwoTableDb(2000, 100);
   const Workload w = WalWorkload(t);
   StatsCatalog catalog(&t.db);
-  Result<std::unique_ptr<CatalogDurability>> opened = CatalogDurability::Open(
-      &catalog, {.dir = dir, .group_commit_statements = group_commit});
+  Result<std::unique_ptr<CatalogDurability>> opened =
+      CatalogDurability::Open(&catalog, {.dir = dir});
   if (!opened.ok()) {
     std::fprintf(stderr, "bench_hotpath: durability open failed: %s\n",
                  opened.status().ToString().c_str());
@@ -379,16 +381,11 @@ double RunWalOnce(int group_commit, double* fsyncs, double* appends) {
 }
 
 void WalSection(BenchJson* json) {
-  double fsyncs1 = 0.0, appends1 = 0.0, fsyncs8 = 0.0, appends8 = 0.0;
-  const double ms1 = RunWalOnce(1, &fsyncs1, &appends1);
-  const double ms8 = RunWalOnce(8, &fsyncs8, &appends8);
-  json->Add("wal_fsyncs_group1", fsyncs1);
-  json->Add("wal_fsyncs_group8", fsyncs8);
-  json->Add("wal_appends", appends1);
-  json->Add("wal_appends_group8_equal", appends1 == appends8 ? 1.0 : 0.0);
-  json->Add("wal_fsync_reduction", fsyncs8 > 0 ? fsyncs1 / fsyncs8 : 0.0);
-  json->Add("wal_run_ms_group1", ms1);
-  json->Add("wal_run_ms_group8", ms8);
+  double fsyncs = 0.0, appends = 0.0;
+  const double ms = RunWalOnce(&fsyncs, &appends);
+  json->Add("wal_fsyncs", fsyncs);
+  json->Add("wal_appends", appends);
+  json->Add("wal_run_ms", ms);
 
   // One instrumented run's full metric surface (counters, gauges,
   // histogram count/mean/p50/p90/p99) — the PR 5 percentile fields the

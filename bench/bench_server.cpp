@@ -4,18 +4,17 @@
 //   1. Deterministic tenant state — per-tenant catalog digests
 //      (server/catalog_digest.h) and, with the fsync coordinator OFF,
 //      per-tenant WAL fsync counts (the "<tenant>/wal_fsync_us" labeled
-//      histogram), swept across every shard count x worker count
-//      combination with flags asserting bit-identical results. These pin
+//      histogram), swept across worker counts with flags asserting
+//      bit-identical results. These pin
 //      the server's determinism contract in the perf gate: any drift on
 //      any machine is a semantic change, not noise. Gated exactly by
 //      bench/baselines/gate.rules.
 //
 //   2. Throughput scaling — statements/sec through the shared worker
-//      pool at 1/2/4/8 workers under the DEFAULT config (sharded
-//      scheduler, cross-tenant async group commit ON), at 10 and 100
-//      durable tenants, plus a shards=1 pin at 100 tenants for reading
-//      the sharding win. Machine-dependent: recorded for trend reading
-//      across the committed baselines, never gated.
+//      pool at 1/2/4/8 workers under the DEFAULT config (one ready
+//      queue, cross-tenant async group commit ON), at 10 and 100 durable
+//      tenants. Machine-dependent: recorded for trend reading across the
+//      committed baselines, never gated.
 //
 //   3. Fsync economics — total physical fsyncs at 100 tenants with the
 //      coordinator OFF (the deterministic per-tenant cadence, exact-
@@ -56,7 +55,6 @@ using testing::MakeTwoTableDb;
 using testing::TwoTableDb;
 
 constexpr int kWorkerCounts[] = {1, 2, 4, 8};
-constexpr int kShardCounts[] = {1, 2, 4};
 
 // Tenant data-plane size tracks AUTOSTATS_SF like every other exhibit
 // (1e6 rows at SF 1.0), clamped so the smoke scale still builds real
@@ -67,9 +65,7 @@ size_t FactRows() {
 }
 
 std::string TenantName(size_t i) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "t%02zu", i);
-  return buf;
+  return (i < 10 ? "t0" : "t") + std::to_string(i);
 }
 
 ManagerPolicy TenantPolicy() {
@@ -86,7 +82,7 @@ ManagerPolicy TenantPolicy() {
 
 // Deterministic per-tenant stream (same recipe family as server_test):
 // a query/DML mix that is a pure function of (tenant, position), so every
-// run at every shard/worker count replays identical inputs.
+// run at every worker count replays identical inputs.
 Workload TenantStream(const TwoTableDb& t, size_t tenant, int statements) {
   Workload w(TenantName(tenant));
   Rng rng(9000 + tenant);
@@ -125,7 +121,6 @@ Workload TenantStream(const TwoTableDb& t, size_t tenant, int statements) {
 struct RunSpec {
   size_t tenants = 10;
   int workers = 1;
-  int shards = 0;        // 0 = ServerOptions auto (min(workers, 8))
   int stmts = 40;        // per tenant
   bool durable = true;
   double fsync_budget = -1.0;  // < 0 = ServerOptions default (ON)
@@ -174,7 +169,6 @@ ServerRun RunOnce(const RunSpec& spec) {
 
   ServerOptions options;
   options.num_workers = spec.workers;
-  options.num_shards = spec.shards;
   options.max_queue_depth = 16;  // bounded backlog: p99 reflects service,
                                  // not an unbounded queue
   options.max_batch = 8;
@@ -252,26 +246,22 @@ ServerRun RunOnce(const RunSpec& spec) {
   return run;
 }
 
-// --- 1. Determinism across shard topologies --------------------------------
+// --- 1. Determinism across worker counts ----------------------------------
 //
 // Coordinator OFF so the per-tenant fsync schedule is the deterministic
 // inline cadence: digests AND fsync counts must be bit-identical at every
-// shard count x worker count combination.
-void ShardSweepSection(BenchJson* json) {
-  std::printf("\ndeterminism sweep: shards {1,2,4} x workers {1,2,4,8}, "
-              "coordinator off\n");
+// worker count.
+void InlineFsyncSweepSection(BenchJson* json) {
+  std::printf("\ndeterminism sweep: workers {1,2,4,8}, coordinator off\n");
   std::vector<ServerRun> runs;
-  for (int shards : kShardCounts) {
-    for (int workers : kWorkerCounts) {
-      RunSpec spec;
-      spec.tenants = 10;
-      spec.workers = workers;
-      spec.shards = shards;
-      spec.stmts = 40;
-      spec.durable = true;
-      spec.fsync_budget = 0.0;  // inline per-tenant fsyncs
-      runs.push_back(RunOnce(spec));
-    }
+  for (int workers : kWorkerCounts) {
+    RunSpec spec;
+    spec.tenants = 10;
+    spec.workers = workers;
+    spec.stmts = 40;
+    spec.durable = true;
+    spec.fsync_budget = 0.0;  // inline per-tenant fsyncs
+    runs.push_back(RunOnce(spec));
   }
   const ServerRun& ref = runs[0];
   json->Add("t10_statements", static_cast<double>(ref.statements));
@@ -291,17 +281,17 @@ void ShardSweepSection(BenchJson* json) {
     fsyncs_equal = fsyncs_equal && r.fsyncs == ref.fsyncs;
     if (r.statements != ref.statements) digests_equal = false;
   }
-  json->Add("t10_digests_shards_workers_equal", digests_equal ? 1.0 : 0.0);
-  json->Add("t10_fsyncs_shards_workers_equal", fsyncs_equal ? 1.0 : 0.0);
-  std::printf("  digests %s, fsync schedules %s across all 12 combinations\n",
+  json->Add("t10_inline_digests_equal", digests_equal ? 1.0 : 0.0);
+  json->Add("t10_inline_fsyncs_equal", fsyncs_equal ? 1.0 : 0.0);
+  std::printf("  digests %s, fsync schedules %s across all worker counts\n",
               digests_equal ? "bit-identical" : "DIVERGED",
               fsyncs_equal ? "identical" : "DIVERGED");
 }
 
 // --- 2. Throughput under the default config --------------------------------
 //
-// Sweeps the worker counts for one tenant-count config (auto shards,
-// coordinator ON — the shipped defaults), emitting the throughput series
+// Sweeps the worker counts for one tenant-count config (coordinator ON —
+// the shipped defaults), emitting the throughput series
 // per worker count and a digest-equality flag across the sweep.
 void TenantScaleSection(BenchJson* json, size_t num_tenants,
                         int stmts_per_tenant) {
@@ -336,7 +326,7 @@ void TenantScaleSection(BenchJson* json, size_t num_tenants,
   json->Add(prefix + "_ingress_samples", ref.ingress_count);
   double digest_sum = 0.0;
   for (uint32_t d : ref.digests) digest_sum += static_cast<double>(d);
-  // t100 has no shard sweep of its own: its digest sum + statement count
+  // t100 has no inline-fsync sweep of its own: its digest sum + statement count
   // from this (default-config) sweep are the exact-gated state pin.
   if (prefix != "t10") {
     json->Add(prefix + "_statements", static_cast<double>(ref.statements));
@@ -566,34 +556,20 @@ void FleetSmokeSection(BenchJson* json) {
 int main() {
   using namespace autostats::bench;
   std::setlocale(LC_NUMERIC, "C");  // %.17g must not localize decimal points
-  PrintHeader("Multi-tenant AutoStatsServer: sharded scheduling + "
+  PrintHeader("Multi-tenant AutoStatsServer: one ready queue + "
               "cross-tenant group commit",
               "unattended statistics management beside the server (Section 6), "
               "multiplexed across tenants");
   BenchJson json("server");
   json.Add("fact_rows", static_cast<double>(FactRows()));
-  // Every tenant is durable (its own WAL directory, group commit +
-  // checkpoints): statements block on fsync, so throughput comes from
-  // taking the fsync off the worker critical path and coalescing it —
-  // visible even on a single core.
-  ShardSweepSection(&json);
-  // 10 tenants and 100 tenants under the shipped defaults...
+  // Every tenant is durable (its own WAL directory + checkpoints):
+  // statements block on fsync, so throughput comes from taking the fsync
+  // off the worker critical path and coalescing it — visible even on a
+  // single core.
+  InlineFsyncSweepSection(&json);
+  // 10 tenants and 100 tenants under the shipped defaults.
   TenantScaleSection(&json, 10, 40);
   TenantScaleSection(&json, 100, 8);
-  // ...plus the shards=1 pin for reading the sharding win at t100.
-  {
-    RunSpec spec;
-    spec.tenants = 100;
-    spec.workers = 8;
-    spec.shards = 1;
-    spec.stmts = 8;
-    spec.durable = true;
-    const ServerRun a = RunOnce(spec);
-    const ServerRun b = RunOnce(spec);
-    json.Add("t100_w8_shards1_statements_per_sec", std::max(a.sps, b.sps));
-    std::printf("t100 workers=8 shards=1  %8.0f stmts/s (sharding pin)\n",
-                std::max(a.sps, b.sps));
-  }
   FsyncBudgetSection(&json);
   BreakerSection(&json);
   SpanOverheadSection(&json);

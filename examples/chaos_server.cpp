@@ -9,7 +9,7 @@
 //   - fault victims trip their circuit breakers, recover through half-open
 //     probes, and converge to a serial replay oracle.
 //
-// Usage: chaos_server [tenants] [workers] [shards] [episodes] [seed]
+// Usage: chaos_server [tenants] [workers] [episodes] [seed]
 //
 // Everything is deterministic: same arguments, same report, same bytes.
 #include <cstdio>
@@ -26,14 +26,12 @@ int main(int argc, char** argv) {
   options.root_dir = "chaos_server.dir";
   if (argc > 1) options.tenants = static_cast<size_t>(std::atoll(argv[1]));
   if (argc > 2) options.workers = std::atoi(argv[2]);
-  if (argc > 3) options.shards = std::atoi(argv[3]);
-  if (argc > 4) options.episodes = std::atoi(argv[4]);
-  if (argc > 5) options.seed = static_cast<uint64_t>(std::atoll(argv[5]));
+  if (argc > 3) options.episodes = std::atoi(argv[3]);
+  if (argc > 4) options.seed = static_cast<uint64_t>(std::atoll(argv[4]));
 
   std::printf(
-      "chaos fleet: %zu tenants, %d workers x %d shards, %d episodes, "
-      "seed %llu\n\n",
-      options.tenants, options.workers, options.shards, options.episodes,
+      "chaos fleet: %zu tenants, %d workers, %d episodes, seed %llu\n\n",
+      options.tenants, options.workers, options.episodes,
       static_cast<unsigned long long>(options.seed));
 
   const ChaosReport report = RunChaosFleet(options);

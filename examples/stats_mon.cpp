@@ -17,8 +17,8 @@
 // The fleet is four tenants (t00..t03) over skewed TPC-D streams; t03 is
 // durable so its spans carry real WAL append/fsync attribution. Logical
 // mode keeps every stamp on the tenant's own logical clocks, so the span
-// streams — like the traces — are byte-identical at any worker/shard
-// count; --perfetto switches to wall mode for real timing.
+// streams — like the traces — are byte-identical at any worker count;
+// --perfetto switches to wall mode for real timing.
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -59,9 +59,7 @@ Workload MakeStream(const Database& db, size_t tenant) {
 }
 
 std::string TenantName(size_t i) {
-  char buf[8];
-  std::snprintf(buf, sizeof(buf), "t%02zu", i);
-  return buf;
+  return (i < 10 ? "t0" : "t") + std::to_string(i);
 }
 
 // Everything one fleet run produces, captured before the server dies.
@@ -73,7 +71,7 @@ struct FleetRun {
   std::string registry_prom;
 };
 
-FleetRun RunFleet(obs::SpanMode mode, int workers, int shards) {
+FleetRun RunFleet(obs::SpanMode mode, int workers) {
   obs::MetricsRegistry::Instance().ResetAll();
   obs::EnableMetrics(true);
   obs::EnableSpans(mode);
@@ -93,7 +91,6 @@ FleetRun RunFleet(obs::SpanMode mode, int workers, int shards) {
 
   ServerOptions options;
   options.num_workers = workers;
-  options.num_shards = shards;
   // Deterministic fsync cadence: logical-mode span streams must be a
   // pure function of the streams (no wall-clock coordinator passes).
   options.fsync_budget_per_sec = 0.0;
@@ -163,19 +160,18 @@ size_t CountOf(const std::string& hay, const std::string& needle) {
 }
 
 int RunSelftest() {
-  // 1. Logical-mode span streams are byte-identical at any worker/shard
-  // configuration (the span determinism contract).
-  const FleetRun base = RunFleet(obs::SpanMode::kLogical, 1, 1);
+  // 1. Logical-mode span streams are byte-identical at any worker count
+  // (the span determinism contract).
+  const FleetRun base = RunFleet(obs::SpanMode::kLogical, 1);
   for (size_t i = 0; i < kTenants; ++i) {
     SELFTEST_EXPECT(!base.span_dumps[i].empty(), "span streams are nonempty");
   }
-  const int sweep[][2] = {{2, 1}, {4, 2}, {8, 4}};
-  for (const auto& ws : sweep) {
-    const FleetRun run = RunFleet(obs::SpanMode::kLogical, ws[0], ws[1]);
+  for (int workers : {2, 4, 8}) {
+    const FleetRun run = RunFleet(obs::SpanMode::kLogical, workers);
     for (size_t i = 0; i < kTenants; ++i) {
       SELFTEST_EXPECT(run.span_dumps[i] == base.span_dumps[i],
                       "logical span streams byte-identical across "
-                      "worker/shard configurations");
+                      "worker counts");
     }
   }
   // Every span line carries the causal fields.
@@ -188,7 +184,7 @@ int RunSelftest() {
                   "ingress sequence starts at 1");
 
   // 2. Wall-mode Perfetto export is structurally valid trace_event JSON.
-  const FleetRun wall = RunFleet(obs::SpanMode::kWall, 4, 2);
+  const FleetRun wall = RunFleet(obs::SpanMode::kWall, 4);
   const std::string& pf = wall.perfetto;
   SELFTEST_EXPECT(pf.rfind("{\"traceEvents\":[", 0) == 0,
                   "perfetto JSON opens a traceEvents array");
@@ -290,7 +286,7 @@ int main(int argc, char** argv) {
   // mode (deterministic bytes) for everything else.
   const obs::SpanMode mode = !perfetto_path.empty() ? obs::SpanMode::kWall
                                                     : obs::SpanMode::kLogical;
-  const FleetRun run = RunFleet(mode, 4, 2);
+  const FleetRun run = RunFleet(mode, 4);
 
   if (!perfetto_path.empty()) {
     std::FILE* f = std::fopen(perfetto_path.c_str(), "wb");

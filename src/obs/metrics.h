@@ -114,7 +114,7 @@ std::vector<double> ExponentialBounds(double start, double factor, int count);
 
 // `count` ascending upper edges starting at `start`, each `step` apart:
 // LinearBounds(1, 1, 4) -> {1, 2, 3, 4}. For small-integer distributions
-// (tenants per fsync batch, shard occupancy) where exponential edges
+// (tenants per fsync batch) where exponential edges
 // would fold everything into the first bucket.
 std::vector<double> LinearBounds(double start, double step, int count);
 

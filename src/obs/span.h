@@ -1,7 +1,7 @@
 // Per-statement span attribution for the multi-tenant server. A span is
 // the causal timeline of one admitted statement:
 //
-//   ingress -> shard enqueue -> batch pickup -> apply -> WAL append
+//   ingress -> enqueue -> batch pickup -> apply -> WAL append
 //           -> (inline fsync | deferred to the fsync coordinator)
 //
 // with one stamp or duration per segment, collected into a bounded
@@ -14,7 +14,7 @@
 //    count events (appends / inline fsyncs) instead of timing them. Per-
 //    tenant statement order is the scheduler's only determinism input
 //    (ARCHITECTURE §14), so the span stream — like the trace — is
-//    BYTE-IDENTICAL at any workers x shards x interleaving. The PR 7
+//    BYTE-IDENTICAL at any worker count and interleaving. The PR 7
 //    trace contract itself is untouched: spans live in their own sink.
 //  - kWall (profiling): stamps are monotonic microseconds and the WAL
 //    segments are real durations; feeds the Perfetto/Chrome trace_event
@@ -81,7 +81,7 @@ struct StatementSpan {
   bool replay = false;       // parked statement re-applied after recovery
   bool fsync_deferred = false;  // fsync owed to the coordinator, not paid inline
   double ingress = 0;        // Submit() entry
-  double enqueue = 0;        // admitted into the shard queue
+  double enqueue = 0;        // admitted into the tenant's queue
   double pickup = 0;         // drained into a worker batch
   double apply_begin = 0;    // Process() entry
   double apply_end = 0;      // Process() return
@@ -94,7 +94,7 @@ struct StatementSpan {
 struct FsyncPassSpan {
   double begin = 0;
   double end = 0;
-  uint64_t synced_lsn = 0;  // tenant's last committed LSN covered by the pass
+  uint64_t synced_lsn = 0;  // tenant's last LSN the pass left durable
 };
 
 // p50/p99 over one span segment, for the tenant health plane.
@@ -114,7 +114,7 @@ struct SpanAttribution {
 
 // Bounded ring of recent spans for one tenant. Appends come only from
 // the tenant's owning worker (per-tenant serialization), fsync-pass
-// appends from the shard's coordinator thread; a mutex arbitrates the
+// appends from the server's coordinator thread; a mutex arbitrates the
 // rare overlap and the cross-thread readers (health snapshots, dumps).
 class SpanSink {
  public:

@@ -1,7 +1,9 @@
 #include "optimizer/plan.h"
 
 #include <algorithm>
+#include <mutex>
 #include <new>
+#include <vector>
 
 #include "common/str_util.h"
 
@@ -19,10 +21,23 @@ namespace {
 // Slabs are retained for the life of the process (like the metrics
 // registry's leaky singletons): a node allocated by a probe worker can be
 // freed later by whichever thread evicts it from the plan cache, so slab
-// lifetime cannot be tied to any one thread. The pool object itself is
+// lifetime cannot be tied to any one thread. Every slab is registered in
+// a process-wide list on the Refill slow path, so retained memory stays
+// reachable after the thread whose free list held it exits (a leak
+// checker sees it as held, not lost). The pool object itself is
 // trivially destructible, which keeps frees during static destruction
 // (cached plans outliving main) safe.
 constexpr size_t kNodesPerSlab = 256;
+
+struct SlabRegistry {
+  std::mutex mu;
+  std::vector<void*> slabs;
+};
+
+SlabRegistry& Slabs() {
+  static SlabRegistry* registry = new SlabRegistry();  // never destroyed
+  return *registry;
+}
 
 struct FreeBlock {
   FreeBlock* next;
@@ -47,6 +62,11 @@ struct NodePool {
   void Refill() {
     char* slab =
         static_cast<char*>(::operator new(kNodesPerSlab * sizeof(PlanNode)));
+    {
+      SlabRegistry& registry = Slabs();
+      std::lock_guard<std::mutex> lock(registry.mu);
+      registry.slabs.push_back(slab);
+    }
     for (size_t i = kNodesPerSlab; i-- > 0;) Free(slab + i * sizeof(PlanNode));
   }
 };

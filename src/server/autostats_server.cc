@@ -26,13 +26,6 @@ struct TenantScopes {
   ParallelInlineScope inline_probes;
 };
 
-// How often an idle worker on a multi-shard server re-checks the
-// cross-shard steal condition. A bounded poll instead of a global
-// condition variable keeps the uncontended submit path shard-local; the
-// ready_total_ fast path below means a poll wakeup with no work anywhere
-// is one relaxed load.
-constexpr std::chrono::milliseconds kStealPoll{1};
-
 constexpr size_t kNoMember = static_cast<size_t>(-1);
 
 // server.tenant_state gauge values (docs/ARCHITECTURE.md §16).
@@ -48,15 +41,6 @@ AutoStatsServer::AutoStatsServer(ServerOptions options)
   resolved_workers_ =
       options_.num_workers > 0 ? options_.num_workers : NumThreads();
   if (resolved_workers_ < 1) resolved_workers_ = 1;
-  int shards = options_.num_shards > 0 ? options_.num_shards
-                                       : std::min(resolved_workers_, 8);
-  if (shards < 1) shards = 1;
-  shards_.reserve(static_cast<size_t>(shards));
-  for (int i = 0; i < shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->index = static_cast<size_t>(i);
-    shards_.push_back(std::move(shard));
-  }
 
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Instance();
   ingress_latency_us_ =
@@ -64,7 +48,6 @@ AutoStatsServer::AutoStatsServer(ServerOptions options)
   statements_total_ = reg.GetCounter("server.statements");
   backpressure_total_ = reg.GetCounter("server.backpressure_waits");
   rejected_total_ = reg.GetCounter("server.rejected_total");
-  steals_total_ = reg.GetCounter("server.work_steals");
   shed_total_ = reg.GetCounter("server.shed_total");
   breaker_trips_ = reg.GetCounter("server.breaker_trips");
   breaker_probes_ = reg.GetCounter("server.breaker_probes");
@@ -107,12 +90,9 @@ size_t AutoStatsServer::AddTenant(const TenantConfig& config) {
 
   Tenant* t = new Tenant();
   t->index = index;
-  t->shard = shards_[index % shards_.size()].get();
   t->name = config.name;
   t->db = config.db;
   t->config = config;
-  t->weight = std::max(1, config.weight);
-  t->turns_left = t->weight;
   // Per-tenant jitter stream: fixed server seed + fixed index = a fixed
   // probe schedule, independent of sibling traffic.
   t->rng = Rng(options_.breaker_seed ^
@@ -158,7 +138,7 @@ size_t AutoStatsServer::AddTenant(const TenantConfig& config) {
   }
   if (obs::MetricsEnabled()) t->state_gauge->Set(kGaugeHealthy);
   // The slot is still private to this thread; seed the health mirror
-  // directly (no shard mutex needed before publication).
+  // directly (no mutex needed before publication).
   t->mirror.processed = t->processed;
   t->mirror.durable = t->durability != nullptr;
   t->mirror.wal_last_lsn =
@@ -179,20 +159,19 @@ void AutoStatsServer::WireDurabilityIntoCoordinator(Tenant* t) {
   if (options_.fsync_budget_per_sec <= 0.0 || t->durability == nullptr) {
     return;
   }
-  Shard* shard = t->shard;
   FsyncCoordinator* coordinator = nullptr;
   bool start_coordinator = false;
   {
-    // The pointer swap happens under the shard mutex: a sibling tenant's
-    // breaker or removal may be reading shard->coordinator concurrently.
-    std::lock_guard<std::mutex> lock(shard->mu);
-    if (shard->coordinator == nullptr) {
-      shard->coordinator = std::make_unique<FsyncCoordinator>(
+    // Created under mu_: a sibling tenant's breaker or removal may be
+    // reading coordinator_ concurrently.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (coordinator_ == nullptr) {
+      coordinator_ = std::make_unique<FsyncCoordinator>(
           FsyncCoordinator::Options{options_.fsync_budget_per_sec,
                                     options_.fsync_max_coalesce_us});
       start_coordinator = started_;
     }
-    coordinator = shard->coordinator.get();
+    coordinator = coordinator_.get();
   }
   if (start_coordinator) coordinator->Start();
 
@@ -208,7 +187,7 @@ void AutoStatsServer::WireDurabilityIntoCoordinator(Tenant* t) {
       // request a trip the owning worker performs at its next turn (the
       // trip itself detaches durability — a serial-point action).
       {
-        std::lock_guard<std::mutex> lock(t->shard->mu);
+        std::lock_guard<std::mutex> lock(mu_);
         ++t->report.durability_failures;
       }
       if (threshold > 0) {
@@ -232,15 +211,17 @@ void AutoStatsServer::WireDurabilityIntoCoordinator(Tenant* t) {
 }
 
 void AutoStatsServer::Start() {
-  AUTOSTATS_CHECK(!started_);
-  started_ = true;
-  for (const auto& shard : shards_) {
-    if (shard->coordinator != nullptr) shard->coordinator->Start();
+  FsyncCoordinator* coordinator = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    AUTOSTATS_CHECK(!started_);
+    started_ = true;
+    coordinator = coordinator_.get();
   }
+  if (coordinator != nullptr) coordinator->Start();
   workers_.reserve(static_cast<size_t>(resolved_workers_));
   for (int i = 0; i < resolved_workers_; ++i) {
-    const size_t home = static_cast<size_t>(i) % shards_.size();
-    workers_.emplace_back([this, home] { WorkerLoop(home); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -258,14 +239,13 @@ Status AutoStatsServer::SubmitInternal(size_t tenant,
        obs::CurrentSpanMode() == obs::SpanMode::kWall)
           ? obs::SpanNowUs()
           : 0;
-  // Drain()'s wait is on the aggregate pending count: concurrent ingress
-  // would re-raise it after the wait and race the per-tenant flushes.
+  // Drain()'s wait is on the pending count: concurrent ingress would
+  // re-raise it after the wait and race the per-tenant flushes.
   AUTOSTATS_DCHECK(drains_active_.load(std::memory_order_relaxed) == 0);
   if (deadline_slots <= 0) deadline_slots = options_.default_deadline_slots;
-  Shard* shard = t->shard;
-  std::unique_lock<std::mutex> lock(shard->mu);
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    if (stop_.load(std::memory_order_relaxed)) {
+    if (stopping_) {
       return Status::Unavailable("server stopped");
     }
     switch (t->state) {
@@ -307,10 +287,9 @@ Status AutoStatsServer::SubmitInternal(size_t tenant,
     }
     ++t->backpressure_waits;
     if (obs::MetricsEnabled()) backpressure_total_->Add();
-    shard->space_cv.wait(lock, [&] {
+    space_cv_.wait(lock, [&] {
       return t->queue.size() < options_.max_queue_depth ||
-             t->state != TenantState::kActive ||
-             stop_.load(std::memory_order_relaxed);
+             t->state != TenantState::kActive || stopping_;
     });
     // Re-validate everything: the tenant may have been removed, tripped,
     // or the server stopped while we slept.
@@ -318,7 +297,7 @@ Status AutoStatsServer::SubmitInternal(size_t tenant,
   QueuedStatement qs;
   qs.stmt = statement;
   qs.enqueued = std::chrono::steady_clock::now();
-  // The dense ingress sequence always advances (guarded by shard->mu), so
+  // The dense ingress sequence always advances (guarded by mu_), so
   // spans flipped on mid-stream still see stream-position stamps.
   qs.ingress_seq = ++t->submitted_seq;
   if (obs::SpansEnabled()) {
@@ -327,21 +306,18 @@ Status AutoStatsServer::SubmitInternal(size_t tenant,
       qs.enqueue = obs::SpanNowUs();
     } else {
       // Logical mode: ingress == enqueue == stream position. Admission
-      // order under shard->mu IS the tenant's stream order, so the stamp
+      // order under mu_ IS the tenant's stream order, so the stamp
       // is a pure function of the stream.
       qs.ingress = static_cast<double>(qs.ingress_seq);
       qs.enqueue = qs.ingress;
     }
   }
   t->queue.push_back(std::move(qs));
-  ++shard->pending;
-  pending_total_.fetch_add(1, std::memory_order_relaxed);
+  ++pending_;
   if (!t->scheduled) {
     t->scheduled = true;
-    t->turns_left = t->weight;
-    shard->ready.push_back(t);
-    ready_total_.fetch_add(1, std::memory_order_relaxed);
-    shard->work_cv.notify_one();
+    ready_.push_back(t);
+    work_cv_.notify_one();
   }
   return Status::OK();
 }
@@ -356,57 +332,23 @@ Status AutoStatsServer::TrySubmit(size_t tenant, const Statement& statement,
   return SubmitInternal(tenant, statement, /*block=*/false, deadline_slots);
 }
 
-AutoStatsServer::Tenant* AutoStatsServer::PopReady(Shard* s) {
-  std::lock_guard<std::mutex> lock(s->mu);
-  if (s->ready.empty()) return nullptr;
-  Tenant* t = s->ready.front();
-  s->ready.pop_front();
-  // t->scheduled stays true: this worker owns the tenant until it
-  // requeues or parks it in RunTenantBatch's epilogue.
-  ready_total_.fetch_sub(1, std::memory_order_relaxed);
-  return t;
-}
-
-void AutoStatsServer::WorkerLoop(size_t home_shard) {
-  Shard* home = shards_[home_shard].get();
-  const size_t n = shards_.size();
+void AutoStatsServer::WorkerLoop() {
   for (;;) {
-    if (stop_.load(std::memory_order_relaxed)) return;
-    Tenant* t = PopReady(home);
-    if (t == nullptr && n > 1 &&
-        ready_total_.load(std::memory_order_relaxed) > 0) {
-      // Home shard idle but somebody is ready: steal. The scan order
-      // starts at the next sibling so steal pressure spreads instead of
-      // piling onto shard 0. Stealing moves only the *scheduling turn*
-      // — the tenant's queue, epilogue, and accounting stay under its
-      // own shard's mutex, so results are unaffected.
-      for (size_t k = 1; k < n && t == nullptr; ++k) {
-        t = PopReady(shards_[(home_shard + k) % n].get());
-      }
-      if (t != nullptr && obs::MetricsEnabled()) steals_total_->Add();
+    Tenant* t = nullptr;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      work_cv_.wait(lock, [&] { return stopping_ || !ready_.empty(); });
+      if (stopping_) return;
+      t = ready_.front();
+      ready_.pop_front();
+      // t->scheduled stays true: this worker owns the tenant until it
+      // requeues or parks it in RunTenantBatch's epilogue.
     }
-    if (t != nullptr) {
-      RunTenantBatch(t);
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(home->mu);
-    if (stop_.load(std::memory_order_relaxed)) return;
-    if (n == 1) {
-      home->work_cv.wait(lock, [&] {
-        return stop_.load(std::memory_order_relaxed) || !home->ready.empty();
-      });
-    } else {
-      // Bounded wait so an idle worker notices stealable work on other
-      // shards without a global wakeup channel.
-      home->work_cv.wait_for(lock, kStealPoll, [&] {
-        return stop_.load(std::memory_order_relaxed) || !home->ready.empty();
-      });
-    }
+    RunTenantBatch(t);
   }
 }
 
 void AutoStatsServer::RunTenantBatch(Tenant* t) {
-  Shard* shard = t->shard;
   std::vector<QueuedStatement> batch;
   bool tripped_pending = false;
   bool probe_due_now = false;
@@ -414,7 +356,7 @@ void AutoStatsServer::RunTenantBatch(Tenant* t) {
   const bool spans_wall =
       spans_on && obs::CurrentSpanMode() == obs::SpanMode::kWall;
   {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    std::lock_guard<std::mutex> lock(mu_);
     // Breaker housekeeping happens at the batch boundary — the tenant's
     // serial point — so async fsync-pass failures and out-of-band probe
     // requests act on the owning worker, never on a foreign thread.
@@ -430,7 +372,7 @@ void AutoStatsServer::RunTenantBatch(Tenant* t) {
       t->queue.pop_front();
     }
   }
-  shard->space_cv.notify_all();
+  space_cv_.notify_all();
   // Wall-mode pickup stamp: the whole batch left the queue together.
   // (Logical mode stamps pickup per statement with the processed count.)
   const double batch_pickup_us = spans_wall ? obs::SpanNowUs() : 0;
@@ -469,7 +411,7 @@ void AutoStatsServer::RunTenantBatch(Tenant* t) {
         t->spans.Append(span);
       }
     }
-    std::lock_guard<std::mutex> lock(shard->mu);
+    std::lock_guard<std::mutex> lock(mu_);
     for (QueuedStatement& qs : parked_local) {
       // A parked statement was answered (degraded) at park time; its
       // statistics work lands when it replays, where the num_* counters
@@ -494,7 +436,7 @@ void AutoStatsServer::RunTenantBatch(Tenant* t) {
         // Logical probe clock: once enough statements were served
         // degraded, run a half-open probe right here in the tenant's
         // serial statement order — probe timing is a bit-exact function
-        // of the stream, independent of workers, shards, and batching.
+        // of the stream, independent of workers and batching.
         bool recovered = false;
         if (t->degraded_seen >= t->probe_backoff) {
           flush_parked();
@@ -577,37 +519,21 @@ void AutoStatsServer::RunTenantBatch(Tenant* t) {
 
   flush_parked();
   {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    std::lock_guard<std::mutex> lock(mu_);
     PublishHealthMirrorLocked(t);
     t->report += local;
-    shard->pending -= batch.size();
+    pending_ -= batch.size();
     if (!t->queue.empty()) {
-      // Weighted round-robin: a tenant keeps the head of the ready queue
-      // until its `weight` consecutive turns are spent, then goes to the
-      // back with a fresh allowance.
-      if (t->turns_left > 1) {
-        --t->turns_left;
-        shard->ready.push_front(t);
-      } else {
-        t->turns_left = t->weight;
-        shard->ready.push_back(t);
-      }
-      ready_total_.fetch_add(1, std::memory_order_relaxed);
-      shard->work_cv.notify_one();
+      // Round-robin: more arrived, so requeue behind every ready sibling.
+      ready_.push_back(t);
+      work_cv_.notify_one();
     } else {
       t->scheduled = false;
-      t->turns_left = t->weight;
     }
   }
-  // Space freed above AND possibly unscheduled here: RemoveTenant waits
-  // on space_cv for both.
-  shard->space_cv.notify_all();
-  const size_t prev = pending_total_.fetch_sub(batch.size(),
-                                               std::memory_order_acq_rel);
-  if (prev == batch.size()) {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    drain_cv_.notify_all();
-  }
+  // Space freed above, possibly unscheduled here, possibly nothing left
+  // pending: ingress, RemoveTenant, and Drain all wait on space_cv_.
+  space_cv_.notify_all();
 }
 
 int64_t AutoStatsServer::ProbeBackoff(Tenant* t) {
@@ -626,7 +552,6 @@ int64_t AutoStatsServer::ProbeBackoff(Tenant* t) {
 }
 
 void AutoStatsServer::TripBreaker(Tenant* t, const char* cause) {
-  Shard* shard = t->shard;
   if (t->durability != nullptr) {
     // Quarantine the WAL exactly where it is: no further appends, no
     // retries on a path that keeps failing. Resume() supersedes it on
@@ -636,11 +561,11 @@ void AutoStatsServer::TripBreaker(Tenant* t, const char* cause) {
     if (t->coordinator_member != kNoMember) {
       FsyncCoordinator* coordinator = nullptr;
       {
-        std::lock_guard<std::mutex> lock(shard->mu);
-        coordinator = shard->coordinator.get();
+        std::lock_guard<std::mutex> lock(mu_);
+        coordinator = coordinator_.get();
       }
-      // Blocks out any in-flight pass; must not hold shard->mu here (the
-      // pass's error callback takes it).
+      // Blocks out any in-flight pass; must not hold mu_ here (the pass's
+      // error callback takes it).
       coordinator->DeactivateMember(t->coordinator_member);
     }
   }
@@ -651,7 +576,7 @@ void AutoStatsServer::TripBreaker(Tenant* t, const char* cause) {
   t->probe_backoff = ProbeBackoff(t);
   int64_t trips = 0;
   {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    std::lock_guard<std::mutex> lock(mu_);
     t->health = TenantHealth::kDegraded;
     trips = ++t->trips;
     PublishHealthMirrorLocked(t);
@@ -672,11 +597,10 @@ void AutoStatsServer::TripBreaker(Tenant* t, const char* cause) {
 }
 
 bool AutoStatsServer::TryRecoverTenant(Tenant* t) {
-  Shard* shard = t->shard;
   t->probe_requested.store(false, std::memory_order_relaxed);
   int64_t probes = 0;
   {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    std::lock_guard<std::mutex> lock(mu_);
     t->health = TenantHealth::kProbing;
     probes = ++t->probes;
   }
@@ -731,7 +655,7 @@ bool AutoStatsServer::TryRecoverTenant(Tenant* t) {
     t->degraded_seen = 0;
     t->probe_backoff = ProbeBackoff(t);
     {
-      std::lock_guard<std::mutex> lock(shard->mu);
+      std::lock_guard<std::mutex> lock(mu_);
       t->health = TenantHealth::kDegraded;
       PublishHealthMirrorLocked(t);
     }
@@ -747,7 +671,7 @@ bool AutoStatsServer::TryRecoverTenant(Tenant* t) {
   // owns the tenant), so stream order is preserved end to end.
   std::deque<QueuedStatement> parked;
   {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    std::lock_guard<std::mutex> lock(mu_);
     parked.swap(t->parked);
   }
   const bool spans_on = obs::SpansEnabled();
@@ -809,7 +733,7 @@ bool AutoStatsServer::TryRecoverTenant(Tenant* t) {
   t->probe_attempts = 0;
   int64_t recoveries = 0;
   {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    std::lock_guard<std::mutex> lock(mu_);
     t->report += replay;
     t->health = TenantHealth::kHealthy;
     recoveries = ++t->recoveries;
@@ -832,47 +756,43 @@ Status AutoStatsServer::RemoveTenant(size_t tenant) {
   if (t == nullptr) {
     return Status::NotFound("unknown tenant index " + std::to_string(tenant));
   }
-  Shard* shard = t->shard;
   FsyncCoordinator* coordinator = nullptr;
   {
-    std::unique_lock<std::mutex> lock(shard->mu);
+    std::unique_lock<std::mutex> lock(mu_);
     if (t->state != TenantState::kActive) {
       return Status::FailedPrecondition("tenant " + t->name +
                                         " is not active");
     }
     // Admission flips to kNotFound here; siblings are untouched.
     t->state = TenantState::kDraining;
-    shard->space_cv.wait(lock, [&] {
-      return (t->queue.empty() && !t->scheduled) || !started_ ||
-             stop_.load(std::memory_order_relaxed);
+    space_cv_.wait(lock, [&] {
+      return (t->queue.empty() && !t->scheduled) || !started_ || stopping_;
     });
-    if (!started_ || stop_.load(std::memory_order_relaxed)) {
+    if (!started_ || stopping_) {
       // No workers will drain the queue; removal drops it.
-      const size_t dropped = t->queue.size();
+      pending_ -= t->queue.size();
       t->queue.clear();
-      shard->pending -= dropped;
-      pending_total_.fetch_sub(dropped, std::memory_order_relaxed);
     }
-    coordinator = shard->coordinator.get();
+    coordinator = coordinator_.get();
   }
 
   {
     TenantScopes scopes(t->name, &t->trace);
-    // Seal the WAL: final flush through the shard's coordinator (so a
+    // Seal the WAL: final flush through the coordinator (so a
     // pending deferred fsync is paid, not dropped), then retire the
     // membership so no later pass touches the dying durability object.
     if (t->durability != nullptr && t->coordinator_member != kNoMember &&
         coordinator != nullptr) {
       const Status flushed = coordinator->FlushMember(t->coordinator_member);
       if (!flushed.ok()) {
-        std::lock_guard<std::mutex> lock(shard->mu);
+        std::lock_guard<std::mutex> lock(mu_);
         ++t->report.durability_failures;
       }
       coordinator->DeactivateMember(t->coordinator_member);
     } else if (t->durability != nullptr && !t->durability->crashed()) {
       const Status flushed = t->durability->Flush();
       if (!flushed.ok()) {
-        std::lock_guard<std::mutex> lock(shard->mu);
+        std::lock_guard<std::mutex> lock(mu_);
         ++t->report.durability_failures;
       }
     }
@@ -894,7 +814,7 @@ Status AutoStatsServer::RemoveTenant(size_t tenant) {
   t->degraded_seen = 0;
   t->probe_backoff = 0;
   {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    std::lock_guard<std::mutex> lock(mu_);
     t->parked.clear();
     t->state = TenantState::kRemoved;
     t->health = TenantHealth::kHealthy;
@@ -910,9 +830,8 @@ Status AutoStatsServer::ReopenTenant(size_t tenant) {
   if (t == nullptr) {
     return Status::NotFound("unknown tenant index " + std::to_string(tenant));
   }
-  Shard* shard = t->shard;
   {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    std::lock_guard<std::mutex> lock(mu_);
     if (t->state != TenantState::kRemoved) {
       return Status::FailedPrecondition("tenant " + t->name +
                                         " is not removed");
@@ -947,7 +866,7 @@ Status AutoStatsServer::ReopenTenant(size_t tenant) {
         recovered_lsn = info.last_lsn;
         WireDurabilityIntoCoordinator(t);
       } else {
-        std::lock_guard<std::mutex> lock(shard->mu);
+        std::lock_guard<std::mutex> lock(mu_);
         ++t->report.durability_failures;
       }
     }
@@ -956,10 +875,9 @@ Status AutoStatsServer::ReopenTenant(size_t tenant) {
         .Int("recovered_lsn", static_cast<int64_t>(recovered_lsn));
   }
   {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    std::lock_guard<std::mutex> lock(mu_);
     t->state = TenantState::kActive;
     t->health = TenantHealth::kHealthy;
-    t->turns_left = t->weight;
     PublishHealthMirrorLocked(t);
   }
   if (obs::MetricsEnabled()) t->state_gauge->Set(kGaugeHealthy);
@@ -971,9 +889,8 @@ Status AutoStatsServer::ProbeTenant(size_t tenant) {
   if (t == nullptr) {
     return Status::NotFound("unknown tenant index " + std::to_string(tenant));
   }
-  Shard* shard = t->shard;
   {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    std::lock_guard<std::mutex> lock(mu_);
     if (t->state != TenantState::kActive) {
       return Status::FailedPrecondition("tenant " + t->name +
                                         " is not active");
@@ -996,18 +913,16 @@ Status AutoStatsServer::ProbeTenant(size_t tenant) {
     recovered = TryRecoverTenant(t);
   }
   {
-    std::lock_guard<std::mutex> lock(shard->mu);
+    std::lock_guard<std::mutex> lock(mu_);
     t->scheduled = false;
     if (!t->queue.empty()) {
       // Arrivals landed while we held the turn; hand them to a worker.
       t->scheduled = true;
-      t->turns_left = t->weight;
-      shard->ready.push_back(t);
-      ready_total_.fetch_add(1, std::memory_order_relaxed);
-      shard->work_cv.notify_one();
+      ready_.push_back(t);
+      work_cv_.notify_one();
     }
   }
-  shard->space_cv.notify_all();
+  space_cv_.notify_all();
   return recovered ? Status::OK()
                    : Status::Unavailable("tenant " + t->name +
                                          " probe failed");
@@ -1015,80 +930,69 @@ Status AutoStatsServer::ProbeTenant(size_t tenant) {
 
 void AutoStatsServer::Drain() {
   drains_active_.fetch_add(1, std::memory_order_relaxed);
+  FsyncCoordinator* coordinator = nullptr;
   {
-    std::unique_lock<std::mutex> lock(drain_mu_);
-    drain_cv_.wait(lock, [&] {
-      return pending_total_.load(std::memory_order_acquire) == 0 ||
-             stop_.load(std::memory_order_relaxed);
-    });
-  }
-  if (stop_.load(std::memory_order_relaxed)) {
-    drains_active_.fetch_sub(1, std::memory_order_relaxed);
-    return;
-  }
-  // Quiesce the fsync coordinators first: every deferred fsync the
-  // drained statements requested is paid before the per-tenant window
-  // close below, so a tenant whose flush fails is accounted exactly once.
-  for (const auto& shard : shards_) {
-    FsyncCoordinator* coordinator = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      coordinator = shard->coordinator.get();
+    std::unique_lock<std::mutex> lock(mu_);
+    space_cv_.wait(lock, [&] { return pending_ == 0 || stopping_; });
+    if (stopping_) {
+      drains_active_.fetch_sub(1, std::memory_order_relaxed);
+      return;
     }
-    if (coordinator != nullptr) coordinator->FlushNow();
+    coordinator = coordinator_.get();
   }
-  // Close each durable tenant's group-commit window. pending == 0 means
-  // no worker holds any tenant (the decrement happens in the batch
+  // Quiesce the fsync coordinator first: every deferred fsync the drained
+  // statements requested is paid before the per-tenant retry below, so a
+  // tenant whose flush fails is accounted exactly once.
+  if (coordinator != nullptr) coordinator->FlushNow();
+  // Retry any fsync a durable tenant still owes (an inline or coordinator
+  // fsync that failed leaves the window open). pending == 0 means no
+  // worker holds any tenant (the decrement happens in the batch
   // epilogue), so touching tenant state from here is safe while ingress
-  // and lifecycle stay quiescent. Removed tenants have no durability;
-  // a quarantined tenant's WAL is sealed (crashed) and is skipped — its
+  // and lifecycle stay quiescent. Removed tenants have no durability; a
+  // quarantined tenant's WAL is sealed (crashed) and is skipped — its
   // parked statements stay parked until a probe recovers it.
   const size_t n = tenant_count_.load(std::memory_order_acquire);
   for (size_t i = 0; i < n; ++i) {
     Tenant* t = FindTenant(i);
     if (t->durability == nullptr || t->durability->crashed()) continue;
     TenantScopes scopes(t->name, &t->trace);
-    if (!t->durability->Flush().ok()) {
-      std::lock_guard<std::mutex> lock(t->shard->mu);
-      ++t->report.durability_failures;
-    }
+    const bool flushed = t->durability->Flush().ok();
     // Drain is quiescent, so this thread owns every tenant: refresh the
     // health mirror so a post-drain Health() shows the settled WAL lag.
-    std::lock_guard<std::mutex> lock(t->shard->mu);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!flushed) ++t->report.durability_failures;
     PublishHealthMirrorLocked(t);
   }
   drains_active_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 void AutoStatsServer::Stop() {
-  if (stop_.exchange(true)) return;
-  // Lock-and-release each shard mutex before notifying: a worker that
-  // checked stop_ just before the store and is about to wait must
-  // observe either the flag or the notification.
-  for (const auto& shard : shards_) {
-    { std::lock_guard<std::mutex> lock(shard->mu); }
-    shard->work_cv.notify_all();
-    shard->space_cv.notify_all();
-  }
   {
-    std::lock_guard<std::mutex> lock(drain_mu_);
-    drain_cv_.notify_all();
+    std::lock_guard<std::mutex> lock(mu_);
+    if (stopping_) return;
+    stopping_ = true;
   }
+  work_cv_.notify_all();
+  space_cv_.notify_all();
   for (std::thread& w : workers_) w.join();
   workers_.clear();
-  for (const auto& shard : shards_) {
-    if (shard->coordinator != nullptr) shard->coordinator->Stop();
+  // Read after the join: no worker can create the coordinator any more.
+  // Stopped without mu_ held — a final pass's error callback takes it.
+  FsyncCoordinator* coordinator = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    coordinator = coordinator_.get();
   }
+  if (coordinator != nullptr) coordinator->Stop();
 }
 
 const std::string& AutoStatsServer::tenant_name(size_t tenant) const {
   return FindTenantOrDie(tenant)->name;
 }
 
-const FsyncCoordinator* AutoStatsServer::coordinator(size_t shard) const {
-  AUTOSTATS_CHECK(shard < shards_.size());
-  std::lock_guard<std::mutex> lock(shards_[shard]->mu);
-  return shards_[shard]->coordinator.get();
+const FsyncCoordinator* AutoStatsServer::coordinator() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return coordinator_.get();
 }
 
 const StatsCatalog& AutoStatsServer::catalog(size_t tenant) const {
@@ -1103,25 +1007,25 @@ const obs::TraceSink& AutoStatsServer::trace(size_t tenant) const {
 
 RunReport AutoStatsServer::Report(size_t tenant) const {
   const Tenant* t = FindTenantOrDie(tenant);
-  std::lock_guard<std::mutex> lock(t->shard->mu);
+  std::lock_guard<std::mutex> lock(mu_);
   return t->report;
 }
 
 int64_t AutoStatsServer::backpressure_waits(size_t tenant) const {
   const Tenant* t = FindTenantOrDie(tenant);
-  std::lock_guard<std::mutex> lock(t->shard->mu);
+  std::lock_guard<std::mutex> lock(mu_);
   return t->backpressure_waits;
 }
 
 int64_t AutoStatsServer::rejected_total(size_t tenant) const {
   const Tenant* t = FindTenantOrDie(tenant);
-  std::lock_guard<std::mutex> lock(t->shard->mu);
+  std::lock_guard<std::mutex> lock(mu_);
   return t->rejected;
 }
 
 int64_t AutoStatsServer::shed_total(size_t tenant) const {
   const Tenant* t = FindTenantOrDie(tenant);
-  std::lock_guard<std::mutex> lock(t->shard->mu);
+  std::lock_guard<std::mutex> lock(mu_);
   return t->shed;
 }
 
@@ -1131,37 +1035,37 @@ const CatalogDurability* AutoStatsServer::durability(size_t tenant) const {
 
 TenantState AutoStatsServer::tenant_state(size_t tenant) const {
   const Tenant* t = FindTenantOrDie(tenant);
-  std::lock_guard<std::mutex> lock(t->shard->mu);
+  std::lock_guard<std::mutex> lock(mu_);
   return t->state;
 }
 
 TenantHealth AutoStatsServer::tenant_health(size_t tenant) const {
   const Tenant* t = FindTenantOrDie(tenant);
-  std::lock_guard<std::mutex> lock(t->shard->mu);
+  std::lock_guard<std::mutex> lock(mu_);
   return t->health;
 }
 
 int64_t AutoStatsServer::breaker_trips(size_t tenant) const {
   const Tenant* t = FindTenantOrDie(tenant);
-  std::lock_guard<std::mutex> lock(t->shard->mu);
+  std::lock_guard<std::mutex> lock(mu_);
   return t->trips;
 }
 
 int64_t AutoStatsServer::breaker_probes(size_t tenant) const {
   const Tenant* t = FindTenantOrDie(tenant);
-  std::lock_guard<std::mutex> lock(t->shard->mu);
+  std::lock_guard<std::mutex> lock(mu_);
   return t->probes;
 }
 
 int64_t AutoStatsServer::breaker_recoveries(size_t tenant) const {
   const Tenant* t = FindTenantOrDie(tenant);
-  std::lock_guard<std::mutex> lock(t->shard->mu);
+  std::lock_guard<std::mutex> lock(mu_);
   return t->recoveries;
 }
 
 size_t AutoStatsServer::parked_statements(size_t tenant) const {
   const Tenant* t = FindTenantOrDie(tenant);
-  std::lock_guard<std::mutex> lock(t->shard->mu);
+  std::lock_guard<std::mutex> lock(mu_);
   return t->parked.size();
 }
 
@@ -1249,10 +1153,10 @@ HealthSnapshot AutoStatsServer::Health() {
     TenantHealthSnapshot ts;
     ts.name = t->name;
     {
-      // Everything here is shard-mutex-guarded shared state or the
+      // Everything here is mu_-guarded shared state or the
       // owner-thread mirror published at the last batch epilogue /
       // lifecycle transition — never the live durability pointer.
-      std::lock_guard<std::mutex> lock(t->shard->mu);
+      std::lock_guard<std::mutex> lock(mu_);
       ts.state = TenantStateName(t->state);
       ts.health = TenantHealthName(t->health);
       ts.queue_depth = t->queue.size();
@@ -1275,7 +1179,7 @@ HealthSnapshot AutoStatsServer::Health() {
       cum[i].parked_seen =
           t->report.degraded_queries + t->report.degraded_dml;
     }
-    // The span ring has its own mutex; read it off the shard lock.
+    // The span ring has its own mutex; read it off mu_.
     ts.attribution = t->spans.Attribution();
     snap.tenants.push_back(std::move(ts));
   }

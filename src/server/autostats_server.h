@@ -8,30 +8,22 @@
 // and a private TraceSink. Statement streams arrive on any number of
 // ingress threads tagged by tenant; workers drain them.
 //
-// Scheduling is SHARDED: tenants are statically assigned to
-// ServerOptions::num_shards independent shards (tenant index modulo shard
-// count), each with its own mutex, ready deque, pending counter, and
-// work/space condition variables. Workers have a home shard
-// (worker index modulo shard count) and take work from it; only when the
-// home shard is idle do they scan siblings and steal a ready tenant, so
-// the uncontended Submit -> dispatch -> epilogue hot path never crosses
-// shards and never touches a global lock. Within a shard the ready queue
-// is WEIGHTED round-robin: a tenant with TenantConfig::weight w takes w
-// consecutive scheduling turns (of up to max_batch statements each)
-// before yielding the head of the queue — under contention, service is
-// proportional to weight; an uncontended tenant is unaffected.
+// Scheduling is ONE ready queue: a single mutex guards every tenant's
+// queue state, one FIFO of schedulable tenants, and one pending count.
+// Workers pop the head tenant, drain up to max_batch of its statements,
+// and requeue it at the back if more arrived — plain round-robin across
+// ready tenants, so a busy tenant cannot starve its siblings.
 //
 // Determinism contract (the tentpole invariant, pinned by server_test):
 // identical per-tenant statement streams produce bit-identical per-tenant
-// catalogs AND byte-identical per-tenant traces at any shard count, any
-// worker count, and any ingress interleaving. Three mechanisms make that
-// hold:
+// catalogs AND byte-identical per-tenant traces at any worker count and
+// any ingress interleaving. Three mechanisms make that hold:
 //
 //   1. Per-tenant serialization. Each tenant has a FIFO queue and is
 //      executed by at most one worker at a time (a `scheduled` flag —
 //      the actor pattern): a tenant's catalog evolution is a pure
-//      function of its own stream, never of sibling traffic, shard
-//      topology, or who stole whom.
+//      function of its own stream, never of sibling traffic or of which
+//      worker picked it up.
 //   2. Thread-scoped observability. Workers wrap every statement in a
 //      ScopedTraceSink (events land in the tenant's sink with its own
 //      seq numbers and logical clock), a ScopedMetricsLabel (metric
@@ -45,20 +37,20 @@
 //      instead of funneling every tenant through the shared pool's one
 //      job at a time.
 //
-// Durability: each shard owns an optional FsyncCoordinator
-// (server/fsync_coordinator.h). With fsync_budget_per_sec > 0, durable
-// tenants append + OS-flush their own WAL records exactly as before but
-// defer the physical fsync to the shard's coordinator, which coalesces
-// fsyncs across tenants under the shared budget — journal content,
-// recovery, and statement-boundary tearing are unchanged; only the fsync
-// schedule becomes wall-clock dependent. 0 restores the per-tenant
-// inline cadence (deterministic fsync counts).
+// Durability: the server lazily creates one FsyncCoordinator
+// (server/fsync_coordinator.h) for its durable tenants. With
+// fsync_budget_per_sec > 0, durable tenants append + OS-flush their own
+// WAL records but defer the physical fsync to the coordinator, which
+// coalesces fsyncs across tenants under the shared budget — journal
+// content, recovery, and statement-boundary tearing are unchanged; only
+// the fsync schedule becomes wall-clock dependent. 0 restores the
+// per-tenant inline cadence (deterministic fsync counts).
 //
 // Tenant lifecycle (live, under traffic — docs/ARCHITECTURE.md §16):
 // AddTenant is callable at any time, including while workers drain other
 // tenants. RemoveTenant quiesces exactly one tenant — admission starts
 // rejecting with kNotFound, the queue drains, the WAL is sealed through
-// the shard's FsyncCoordinator — and releases its catalog/manager.
+// the FsyncCoordinator — and releases its catalog/manager.
 // ReopenTenant rebuilds the tenant from its durability directory
 // (bit-identical snapshot + replay recovery, exactness fences included)
 // without pausing siblings. States: Active -> Draining -> Removed ->
@@ -70,7 +62,7 @@
 // magic-number-only: the WAL is sealed, the manager is frozen, and every
 // admitted statement is acknowledged degraded and parked — a permanently
 // failing persistence.fsync no longer retries on every statement and
-// never blocks the shard. Recovery is by half-open probes on a seeded
+// never blocks the workers. Recovery is by half-open probes on a seeded
 // exponential backoff measured in statements served degraded (logical
 // time counted by the owning worker, so probe schedules are bit-exact
 // functions of the tenant's stream): a probe validates the
@@ -94,7 +86,7 @@
 // server). A per-statement logical deadline (deadline_slots) sheds the
 // statement when the tenant's queue is already deeper than the budget —
 // an overloaded or quarantined tenant answers with a typed error instead
-// of blocking the shard.
+// of blocking its caller.
 //
 // Ordering caveat: the determinism input is each tenant's stream order.
 // Submissions for the SAME tenant from multiple ingress threads are
@@ -136,21 +128,15 @@ struct ServerOptions {
   // Worker threads draining tenant queues. 0 uses NumThreads() (the
   // AUTOSTATS_THREADS / hardware-concurrency setting).
   int num_workers = 0;
-  // Independent scheduler shards. 0 = auto: min(resolved workers, 8).
-  // Tenants map to shards by index (tenant i -> shard i % num_shards);
-  // workers map the same way and steal from siblings only when their
-  // home shard is idle.
-  int num_shards = 0;
   // Per-tenant admission bound: Submit() blocks (TrySubmit() rejects)
   // while a tenant has this many statements queued.
   size_t max_queue_depth = 256;
   // Statements a worker drains from one tenant per scheduling turn
   // before requeueing it behind its siblings (bounds head-of-line
-  // latency for other ready tenants). A tenant with weight w takes w
-  // consecutive turns before yielding.
+  // latency for other ready tenants).
   int max_batch = 8;
-  // Cross-tenant async group commit: flush passes per second each
-  // shard's FsyncCoordinator may spend on its durable tenants. 0
+  // Cross-tenant async group commit: flush passes per second the
+  // server's FsyncCoordinator may spend on its durable tenants. 0
   // disables the coordinator — every tenant pays its own fsync inline on
   // the worker thread (the deterministic per-tenant cadence).
   double fsync_budget_per_sec = 256.0;
@@ -195,7 +181,7 @@ struct ServerOptions {
   // Test-only observation point: invoked on the worker thread after each
   // processed statement with the tenant's index. With one worker the
   // invocation order is exactly the schedule, which is what the
-  // weighted-round-robin tests pin. Must be thread-safe; must not call
+  // round-robin test pins. Must be thread-safe; must not call
   // back into the server.
   std::function<void(size_t tenant)> post_statement_hook;
 };
@@ -206,7 +192,7 @@ struct TenantConfig {
   std::string name;
   // The tenant's data plane; mutated by its DML statements. Not owned —
   // must outlive the server.
-  Database* db;
+  Database* db = nullptr;
   // Statistics-management policy for this tenant's AutoStatsManager.
   // policy.num_threads is ignored: statements run probe-inline (see file
   // comment) and never re-enter the shared pool.
@@ -215,11 +201,7 @@ struct TenantConfig {
   // CatalogDurability opens (and recovers) this directory, and the
   // manager commits one journal record per statement with checkpoints on
   // the policy cadence. Empty = in-memory only.
-  std::string durability_dir;
-  // Scheduling priority: consecutive weighted-round-robin turns this
-  // tenant takes within its shard before yielding (clamped to >= 1).
-  // Affects only latency under contention, never results.
-  int weight = 1;
+  std::string durability_dir = {};
 };
 
 // Lifecycle state of a tenant slot (indices are never reused).
@@ -250,7 +232,7 @@ class AutoStatsServer {
 
   // Quiesces and removes one tenant without pausing siblings: admission
   // flips to kNotFound, the queue drains (the owning worker finishes its
-  // batch), the WAL is sealed with a final fsync through the shard's
+  // batch), the WAL is sealed with a final fsync through the
   // FsyncCoordinator, and the catalog/optimizer/manager are released.
   // The index, name, trace, and report survive for ReopenTenant and the
   // accessors below. A Degraded tenant may be removed; its parked
@@ -274,8 +256,9 @@ class AutoStatsServer {
   // probes); kFailedPrecondition unless Active.
   Status ProbeTenant(size_t tenant);
 
-  // Spawns the worker pool and the per-shard fsync coordinators. Call
-  // once; tenants may be added before or after.
+  // Spawns the worker pool (and the fsync coordinator, if durable
+  // tenants already created it). Call once; tenants may be added before
+  // or after.
   void Start();
 
   // Enqueues one statement for `tenant`, blocking while its queue is
@@ -295,9 +278,9 @@ class AutoStatsServer {
                    int64_t deadline_slots = 0);
 
   // Blocks until every submitted statement has been processed or parked,
-  // then forces each shard's fsync coordinator through a final pass and
-  // closes each durable tenant's group-commit window (Flush) under that
-  // tenant's scopes. A Degraded tenant's parked statements stay parked —
+  // then forces the fsync coordinator through a final pass and retries
+  // any fsync a durable tenant still owes (Flush) under that tenant's
+  // scopes. A Degraded tenant's parked statements stay parked —
   // they replay on recovery. Ingress and lifecycle ops must be QUIESCENT
   // (no concurrent Submit / TrySubmit / Add / Remove / Reopen) from
   // before the call until it returns. Debug builds check the ingress
@@ -312,12 +295,9 @@ class AutoStatsServer {
     return tenant_count_.load(std::memory_order_acquire);
   }
   const std::string& tenant_name(size_t tenant) const;
-  // Resolved shard topology (fixed at construction).
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-  size_t shard_of(size_t tenant) const { return tenant % shards_.size(); }
-  // The shard's fsync coordinator; nullptr when the shard has no durable
-  // tenants or fsync_budget_per_sec == 0.
-  const FsyncCoordinator* coordinator(size_t shard) const;
+  // The fsync coordinator; nullptr until a durable tenant is added with
+  // fsync_budget_per_sec > 0.
+  const FsyncCoordinator* coordinator() const;
 
   // --- Per-tenant state. Only meaningful while quiescent (after Drain
   // or Stop): the catalog and trace are actively mutated by workers. ---
@@ -356,7 +336,7 @@ class AutoStatsServer {
   // One name-ordered snapshot of every tenant's SLO surface
   // (server/health.h). Rate fields cover the window since the previous
   // Health() call on this server (zero on the first). Safe under live
-  // traffic: reads only shard-mutex-guarded state and the span rings.
+  // traffic: reads only mutex-guarded state and the span rings.
   HealthSnapshot Health();
 
   // Dumps the tenant's flight recorder (recent trace events + metric
@@ -369,8 +349,6 @@ class AutoStatsServer {
   const obs::SpanSink& spans(size_t tenant) const;
 
  private:
-  struct Shard;
-
   // One admitted statement in a tenant's queue (or parked buffer), with
   // its span identity: ingress_seq is the dense per-tenant submit
   // sequence, ingress/enqueue are the mode-dependent span stamps
@@ -385,7 +363,6 @@ class AutoStatsServer {
 
   struct Tenant {
     size_t index = 0;
-    Shard* shard = nullptr;
     std::string name;
     Database* db = nullptr;
     TenantConfig config;  // retained for ReopenTenant
@@ -396,7 +373,6 @@ class AutoStatsServer {
     obs::TraceSink trace;
     obs::SpanSink spans;        // per-statement causal timelines
     obs::FlightRecorder flight;  // recent trace events for post-mortems
-    int weight = 1;
     size_t coordinator_member = static_cast<size_t>(-1);
     obs::Counter* rejected_counter = nullptr;  // "<name>/server.rejected_total"
     obs::Gauge* state_gauge = nullptr;         // "<name>/server.tenant_state"
@@ -417,10 +393,9 @@ class AutoStatsServer {
     std::atomic<bool> trip_requested{false};
     std::atomic<bool> probe_requested{false};
 
-    // Guarded by shard->mu:
+    // Guarded by the server's mu_:
     std::deque<QueuedStatement> queue;
     bool scheduled = false;  // a worker currently owns this tenant
-    int turns_left = 1;      // weighted-round-robin turns remaining
     TenantState state = TenantState::kActive;
     TenantHealth health = TenantHealth::kHealthy;
     std::deque<QueuedStatement> parked;  // degraded-served, awaiting recovery
@@ -432,7 +407,7 @@ class AutoStatsServer {
     int64_t rejected = 0;
     int64_t shed = 0;
     uint64_t submitted_seq = 0;  // dense span ingress sequence
-    // Owner-thread facts mirrored under shard->mu so Health() can read
+    // Owner-thread facts mirrored under mu_ so Health() can read
     // them from any thread without racing the owner: published at every
     // batch epilogue and lifecycle/breaker transition.
     struct HealthMirror {
@@ -444,19 +419,6 @@ class AutoStatsServer {
     } mirror;
   };
 
-  // One independent scheduler: its mutex guards its tenants' queue state
-  // and nothing else, so uncontended traffic never crosses shards.
-  struct Shard {
-    size_t index = 0;
-    mutable std::mutex mu;
-    std::condition_variable work_cv;   // workers: ready nonempty or stop
-    std::condition_variable space_cv;  // ingress: queue space freed;
-                                       // lifecycle: tenant unscheduled
-    std::deque<Tenant*> ready;         // WRR queue of schedulable tenants
-    size_t pending = 0;                // submitted, not yet processed
-    std::unique_ptr<FsyncCoordinator> coordinator;
-  };
-
   // Lock-free tenant lookup: indices resolve through fixed-size chunks
   // published with a release store on tenant_count_, so Submit and the
   // workers never take a registry lock while AddTenant grows the fleet.
@@ -466,9 +428,7 @@ class AutoStatsServer {
     Tenant* slots[kTenantChunkSize] = {};
   };
 
-  void WorkerLoop(size_t home_shard);
-  // Pops the next ready tenant from `s`, or nullptr.
-  Tenant* PopReady(Shard* s);
+  void WorkerLoop();
   // Drains one batch from `t` (which the caller owns via `scheduled`).
   void RunTenantBatch(Tenant* t);
   Status SubmitInternal(size_t tenant, const Statement& statement, bool block,
@@ -476,8 +436,8 @@ class AutoStatsServer {
   // nullptr when the index is out of range (never-registered tenant).
   Tenant* FindTenant(size_t tenant) const;
   Tenant* FindTenantOrDie(size_t tenant) const;
-  // Creates (and starts, if the server is running) the shard coordinator
-  // on demand and adds/reactivates the tenant's membership around its
+  // Creates (and starts, if the server is running) the coordinator on
+  // demand and adds/reactivates the tenant's membership around its
   // current durability object. No-op when budget is 0 or not durable.
   void WireDurabilityIntoCoordinator(Tenant* t);
   // Breaker transitions; the caller owns the tenant and holds its scopes.
@@ -485,7 +445,7 @@ class AutoStatsServer {
   bool TryRecoverTenant(Tenant* t);
   int64_t ProbeBackoff(Tenant* t);
   // Refreshes t->mirror from owner-thread state. The caller must own
-  // the tenant AND hold t->shard->mu (the mirror's guard).
+  // the tenant AND hold mu_ (the mirror's guard).
   void PublishHealthMirrorLocked(Tenant* t);
   // The tenant's "<name>/..." registry series, for flight-recorder
   // metric deltas.
@@ -496,22 +456,26 @@ class AutoStatsServer {
 
   const ServerOptions options_;
   int resolved_workers_ = 1;
-  std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<TenantChunk> chunks_[kMaxTenantChunks];
   std::atomic<size_t> tenant_count_{0};
   std::mutex lifecycle_mu_;  // serializes AddTenant/RemoveTenant/Reopen
-  std::vector<std::thread> workers_;
-  bool started_ = false;
 
-  std::atomic<bool> stop_{false};
-  // Cheap aggregates for idle-steal checks and Drain: the per-shard
-  // truth lives under each shard's mutex; these relaxed counters only
-  // gate "is there possibly work/pending anywhere" decisions.
-  std::atomic<size_t> ready_total_{0};
-  std::atomic<size_t> pending_total_{0};
+  // The scheduler. mu_ guards every tenant's queue state (the fields
+  // marked above), the ready queue, the pending count, the lifecycle
+  // flags below, and the coordinator pointer.
+  mutable std::mutex mu_;
+  std::condition_variable work_cv_;   // workers: ready_ nonempty or stop
+  std::condition_variable space_cv_;  // ingress: queue space freed;
+                                      // lifecycle: tenant unscheduled;
+                                      // Drain: pending_ reached zero
+  std::deque<Tenant*> ready_;         // FIFO of schedulable tenants
+  size_t pending_ = 0;                // submitted, not yet processed
+  bool started_ = false;
+  bool stopping_ = false;
+  // Created by the first durable tenant when fsync_budget_per_sec > 0;
+  // lives until the server is destroyed.
+  std::unique_ptr<FsyncCoordinator> coordinator_;
   std::atomic<int> drains_active_{0};  // Drain-quiescence debug check
-  std::mutex drain_mu_;
-  std::condition_variable drain_cv_;  // pending_total_ reached zero
 
   // Health() rolling-window state: the previous call's cumulative
   // counters per tenant index, and when it ran.
@@ -531,11 +495,13 @@ class AutoStatsServer {
   obs::Counter* statements_total_;
   obs::Counter* backpressure_total_;
   obs::Counter* rejected_total_;
-  obs::Counter* steals_total_;
   obs::Counter* shed_total_;
   obs::Counter* breaker_trips_;
   obs::Counter* breaker_probes_;
   obs::Counter* breaker_recoveries_;
+
+  // Last: declared after everything the workers use. Stop() joins them.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace autostats

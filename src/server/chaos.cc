@@ -30,7 +30,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string ChaosTenantName(size_t i) {
-  char buf[16];
+  char buf[24];  // room for any size_t: no truncation
   std::snprintf(buf, sizeof(buf), "t%03zu", i);
   return buf;
 }
@@ -299,7 +299,6 @@ FleetResult RunOnce(const ChaosOptions& options, const ChaosPlan& plan,
 
   ServerOptions so;
   so.num_workers = options.workers;
-  so.num_shards = options.shards;
   // Determinism: no wall-clock fsync coordinator — every trip, probe, and
   // trace byte is a pure function of the streams.
   so.fsync_budget_per_sec = 0.0;

@@ -46,7 +46,7 @@
 // fsync_budget_per_sec = 0 so no wall-clock coordinator passes exist, and
 // breaker probes ride the logical degraded-statement clock. Two runs with
 // the same options are byte-identical in full — including the victims —
-// at ANY worker/shard configuration.
+// at ANY worker count.
 #ifndef AUTOSTATS_SERVER_CHAOS_H_
 #define AUTOSTATS_SERVER_CHAOS_H_
 
@@ -60,7 +60,6 @@ struct ChaosOptions {
   // Initial fleet size; one live AddTenant per episode grows it.
   size_t tenants = 100;
   int workers = 4;
-  int shards = 4;
   // Seeded fault/interleave/jitter streams; same seed = same run, bytes
   // and all.
   uint64_t seed = 0xC11A05u;

@@ -195,12 +195,15 @@ void FsyncCoordinator::FlushBatch(const std::vector<size_t>& batch) {
         spans != nullptr && obs::SpansEnabled() &&
         obs::CurrentSpanMode() == obs::SpanMode::kWall;
     const double begin_us = span_pass ? obs::SpanNowUs() : 0;
-    const Status s = durability->Flush();
+    // The covered LSN comes back from under the writer's lock: the owning
+    // worker may be committing the tenant's next statement right now.
+    uint64_t synced_lsn = 0;
+    const Status s = durability->Flush(&synced_lsn);
     if (span_pass && s.ok()) {
       obs::FsyncPassSpan pass;
       pass.begin = begin_us;
       pass.end = obs::SpanNowUs();
-      pass.synced_lsn = durability->last_committed_lsn();
+      pass.synced_lsn = synced_lsn;
       spans->AppendFsyncPass(pass);
     }
     // A failed flush on a live writer is a tenant durability failure. A

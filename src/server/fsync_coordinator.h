@@ -1,9 +1,9 @@
-// FsyncCoordinator: cross-tenant async group commit for one scheduler
-// shard of the AutoStatsServer.
+// FsyncCoordinator: cross-tenant async group commit for the
+// AutoStatsServer, and the only code that decides when a deferred journal
+// fsync runs.
 //
-// Without it, every durable tenant pays its own fsync cadence: at the
-// default group_commit_statements == 1 that is one physical fsync per
-// processed statement, serialized on the worker thread — at fleet scale
+// Without it, every durable tenant pays one physical fsync per processed
+// statement, inline on the worker thread — at fleet scale
 // (many tenants, shared cores) the workers spend most of their time
 // waiting on the disk even though sibling tenants are flushing the same
 // device at the same instant.
@@ -14,14 +14,14 @@
 //
 //   - Workers still append + OS-flush one journal record per statement
 //     through CatalogDurability::CommitStatement (statement-boundary
-//     tearing and per-tenant replay are byte-for-byte unchanged), but a
-//     filled group-commit window now invokes the tenant's fsync-deferral
-//     hook (stats/durability.h) instead of paying SyncJournal inline.
-//   - The hook enqueues the tenant with its shard's coordinator. The
+//     tearing and per-tenant replay are byte-for-byte unchanged), but each
+//     commit invokes the tenant's fsync-deferral hook (stats/durability.h)
+//     instead of paying SyncJournal inline.
+//   - The hook enqueues the tenant with the coordinator. The
 //     coordinator thread coalesces requests — N commits by one tenant,
 //     or commits by N tenants, between two passes collapse into one
 //     fsync per dirty journal — and runs a flush pass when either the
-//     shard's fsync budget allows (budget_per_sec caps passes/sec) or
+//     fsync budget allows (budget_per_sec caps passes/sec) or
 //     the oldest pending request has waited max_coalesce_us (the
 //     durability-lag bound: a committed record is never further than
 //     one coalesce window from stable storage while the server lives).
@@ -35,8 +35,7 @@
 // What changes and what does not: per-tenant journal *content* (and so
 // recovery, catalogs, traces) stays a pure function of the tenant's
 // statement stream. Only the physical fsync *schedule* becomes
-// wall-clock dependent — the same trade group_commit_statements > 1
-// already made, now budgeted across tenants: a crash that also takes
+// wall-clock dependent, budgeted across tenants: a crash that also takes
 // the OS page cache can lose at most the unsynced tail, and recovery
 // truncates to the last durable statement boundary per tenant.
 #ifndef AUTOSTATS_SERVER_FSYNC_COORDINATOR_H_
@@ -64,7 +63,8 @@ namespace autostats {
 class FsyncCoordinator {
  public:
   struct Options {
-    // Flush passes per second this shard may spend (the shared budget).
+    // Flush passes per second this coordinator may spend (the shared
+    // budget).
     // <= 0 means unbudgeted: a pass runs as soon as the coalesce window
     // opens it.
     double budget_per_sec = 0.0;

@@ -481,9 +481,9 @@ CatalogDurability::~CatalogDurability() {
   }
   std::lock_guard<std::mutex> lock(commit_mu_);
   if (journal_ != nullptr) {
-    // Best-effort close of the group-commit window: records already
-    // flushed to the OS but awaiting their batch fsync. No fault gates in
-    // a destructor — a simulated kill has already sealed the writer.
+    // Best-effort close of the deferred window: records already flushed
+    // to the OS but awaiting their fsync. No fault gates in a destructor
+    // — a simulated kill has already sealed the writer.
     if (!crashed() && appends_since_fsync_ > 0) {
       FsyncStream(journal_, JournalPath());
     }
@@ -808,7 +808,7 @@ Status CatalogDurability::SyncJournal(const char* gate_detail) {
     if (fsync_torn >= 0) {
       // Kill during fsync: the records reached the file before the
       // "death", so recovery replays them — committed-but-unacked
-      // statements, the classic group-commit window.
+      // statements, the classic deferred-fsync window.
       appends_since_fsync_ = 0;
       Seal();
       return fsync_gate;
@@ -832,14 +832,16 @@ Status CatalogDurability::SyncJournal(const char* gate_detail) {
   return synced;
 }
 
-Status CatalogDurability::Flush() {
+Status CatalogDurability::Flush(uint64_t* synced_lsn) {
   std::lock_guard<std::mutex> lock(commit_mu_);
   if (crashed()) {
     return Status::FailedPrecondition(
         "durability sealed after simulated crash; reopen to recover");
   }
-  if (appends_since_fsync_ == 0) return Status::OK();
-  return SyncJournal("journal");
+  const Status s =
+      appends_since_fsync_ == 0 ? Status::OK() : SyncJournal("journal");
+  if (s.ok() && synced_lsn != nullptr) *synced_lsn = last_committed_lsn();
+  return s;
 }
 
 Status CatalogDurability::CommitStatement() {
@@ -885,27 +887,21 @@ Status CatalogDurability::CommitStatementLocked(bool* defer_fsync) {
     }
     return appended;
   }
-  // The record is in the file; now pay the fsync — or, under group
-  // commit, defer it until the batch fills. A deferred record sits in the
-  // OS page cache: it survives process death (the write () completed) but
-  // not a machine crash, the documented group-commit window.
-  if (appended.ok() &&
-      ++appends_since_fsync_ >=
-          std::max(1, options_.group_commit_statements)) {
-    if (fsync_deferral_ != nullptr && defer_fsync != nullptr) {
-      // Cross-tenant async group commit: the record is in the file and
-      // OS-flushed; the fsync is owed to the coordinator, which calls
-      // Flush(). The LSN is consumed below exactly as for a synchronous
-      // commit — a deferred record is committed-but-unacked by design.
-      *defer_fsync = true;
-      obs::SpanNoteFsyncDeferred();
-    } else {
-      appended = SyncJournal("journal");
-      // Kill during the batch fsync: the writer is sealed before the LSN
-      // is consumed, so recovery replays this record from the file —
-      // identical to the pre-group-commit behaviour.
-      if (crashed()) return appended;
-    }
+  // The record is in the file; now pay the fsync inline — or, with a
+  // deferral hook, owe it to the hook's owner, which calls Flush(). A
+  // deferred record sits in the OS page cache: it survives process death
+  // (the write() completed) but not a machine crash. The LSN is consumed
+  // below either way — a deferred record is committed-but-unacked by
+  // design.
+  ++appends_since_fsync_;
+  if (fsync_deferral_ != nullptr) {
+    *defer_fsync = true;
+    obs::SpanNoteFsyncDeferred();
+  } else {
+    appended = SyncJournal("journal");
+    // Kill during the fsync: the writer is sealed before the LSN is
+    // consumed, so recovery replays this record from the file.
+    if (crashed()) return appended;
   }
   // The record is in the file (even if its fsync failed — recovery would
   // replay it), so the commit stands and the LSN is consumed; a failed
@@ -1029,11 +1025,11 @@ Status CatalogDurability::CheckpointImpl(bool* defer_fsync) {
     Seal();  // no journal to append to — equivalent to losing the disk
     return Status::Internal("cannot reopen " + JournalPath());
   }
-  // Any appends awaiting their group fsync lived in the journal that was
-  // just swapped out; the snapshot covers them, so the window is clean —
+  // Any appends awaiting their fsync lived in the journal that was just
+  // swapped out; the snapshot covers them, so the window is clean —
   // including a fsync the boundary commit deferred above.
   appends_since_fsync_ = 0;
-  if (defer_fsync != nullptr) *defer_fsync = false;
+  *defer_fsync = false;
 
   // Prune: keep the newest keep_snapshots, drop the rest.
   const int keep = std::max(options_.keep_snapshots, 1);

@@ -65,17 +65,6 @@ struct DurabilityOptions {
   // more than one lets recovery fall back across a corrupted newest
   // snapshot at the price of a replay gap (see file comment).
   int keep_snapshots = 2;
-  // Group commit: statements per physical journal fsync. Every commit
-  // still appends and flushes its own record (so a crash tears at a
-  // statement boundary at worst), but only every Nth commit pays the
-  // fsync — the dominant cost of the commit path. 1 (the default) is the
-  // original contract: every statement durable before the next. N > 1
-  // trades a bounded window — up to the last N-1 statements can be lost
-  // to a crash that also takes the OS page cache — for an N-fold fsync
-  // reduction; recovery handles the lost tail exactly like any torn
-  // journal (resume from the last durable statement, exactness fences
-  // re-cover anything it touched). Flush() forces the pending fsync.
-  int group_commit_statements = 1;
 };
 
 // What Open() found and did; purely informational.
@@ -149,7 +138,8 @@ class CatalogDurability : public CatalogMutationListener {
   CatalogDurability& operator=(const CatalogDurability&) = delete;
 
   // Appends one journal record covering every mutation since the previous
-  // successful commit, then flushes it to stable storage. Always appends —
+  // successful commit, then fsyncs it inline — or, with a deferral hook
+  // installed, hands the fsync to the hook's owner. Always appends —
   // even a statement that changed nothing commits a record, because the
   // LSN sequence numbers processed statements one-for-one and that is
   // what makes post-crash resume exactly-once (resume at statement index
@@ -158,14 +148,16 @@ class CatalogDurability : public CatalogMutationListener {
   // call fails with kFailedPrecondition.
   Status CommitStatement();
 
-  // Forces the pending group-commit fsync (a no-op when nothing is
-  // buffered). Call at the end of a statement stream so its tail is
-  // durable before the process idles. A pass whose physical fsync FAILED
+  // Pays the fsync owed for every append since the last physical fsync
+  // (a no-op when nothing is owed): the deferred window a hook opened, or
+  // an inline fsync that failed. A pass whose physical fsync FAILED
   // leaves the window open — the fsync is still owed, so the next Flush()
   // retries it instead of reporting OK: a poisoned flush is never
   // silently absorbed by a later pass (the circuit breaker depends on
-  // seeing it).
-  Status Flush();
+  // seeing it). On OK, `synced_lsn` (may be null) receives the last LSN
+  // now durable, read under the writer's lock — safe from a thread other
+  // than the committing one.
+  Status Flush(uint64_t* synced_lsn = nullptr);
 
   // Permanently seals the writer (the circuit breaker's quarantine):
   // every later commit, flush, or checkpoint fails with
@@ -175,18 +167,17 @@ class CatalogDurability : public CatalogMutationListener {
   // Thread-safe and idempotent.
   void Seal() { sealed_.store(true, std::memory_order_relaxed); }
 
-  // Cross-tenant async group commit (server/fsync_coordinator.h). When a
-  // hook is installed, a commit whose group window fills no longer pays
-  // SyncJournal inline: the record is appended and OS-flushed exactly as
-  // before (so statement-boundary tearing and replay are unchanged), and
-  // the hook is invoked — outside the internal lock — to announce that
-  // this journal owes an fsync. The hook's owner must eventually call
-  // Flush(), which acknowledges every append since the last physical
-  // fsync in one call; until then the unsynced tail sits in the OS page
-  // cache (survives process death, not machine death — the same bounded
-  // window as group_commit_statements > 1, now shared across tenants).
-  // Install before serving begins; the hook must be thread-safe and must
-  // not call back into this object.
+  // Cross-tenant async group commit (server/fsync_coordinator.h). With no
+  // hook, every commit pays its fsync inline. When a hook is installed, a
+  // commit no longer pays SyncJournal: the record is appended and
+  // OS-flushed exactly as before (so statement-boundary tearing and
+  // replay are unchanged), and the hook is invoked — outside the internal
+  // lock — to announce that this journal owes an fsync. The hook's owner
+  // decides when to call Flush(), which acknowledges every append since
+  // the last physical fsync in one call; until then the unsynced tail
+  // sits in the OS page cache (survives process death, not machine
+  // death). Install before serving begins; the hook must be thread-safe
+  // and must not call back into this object.
   void set_fsync_deferral(std::function<void()> hook) {
     fsync_deferral_ = std::move(hook);
   }
@@ -202,9 +193,8 @@ class CatalogDurability : public CatalogMutationListener {
   // wal.checkpoint trace event around it. Runs under commit_mu_; sets
   // *defer_fsync when its internal commit left an fsync to the hook.
   Status CheckpointImpl(bool* defer_fsync);
-  // CommitStatement body, called under commit_mu_. When the group window
-  // fills and a deferral hook is installed, sets *defer_fsync instead of
-  // paying SyncJournal (null = always sync inline).
+  // CommitStatement body, called under commit_mu_. When a deferral hook
+  // is installed, sets *defer_fsync instead of paying SyncJournal.
   Status CommitStatementLocked(bool* defer_fsync);
 
  public:
@@ -221,8 +211,8 @@ class CatalogDurability : public CatalogMutationListener {
            dirty_counters_.size();
   }
   // Committed records appended (and OS-flushed) but not yet fsynced —
-  // the group-commit window. Always 0 with group_commit_statements == 1
-  // and no deferral hook.
+  // the deferred window. 0 with no deferral hook unless an inline fsync
+  // failed.
   int unsynced_appends() const {
     std::lock_guard<std::mutex> lock(commit_mu_);
     return appends_since_fsync_;
@@ -247,7 +237,7 @@ class CatalogDurability : public CatalogMutationListener {
   Status AppendFrame(const std::string& payload, const char* gate_detail,
                      bool* record_persisted);
   // One physical journal fsync covering every append since the last one;
-  // honors the fsync crash gate and resets the group-commit counter.
+  // honors the fsync crash gate and closes the deferred window.
   Status SyncJournal(const char* gate_detail);
   // Writes a single-frame file and atomically renames it over `final`.
   Status PublishFile(const std::string& tmp, const std::string& final_path,
@@ -268,7 +258,7 @@ class CatalogDurability : public CatalogMutationListener {
   std::FILE* journal_ = nullptr;
   uint64_t next_lsn_ = 1;
   std::atomic<bool> sealed_{false};
-  int appends_since_fsync_ = 0;  // group-commit window (see Flush())
+  int appends_since_fsync_ = 0;  // deferred window (see Flush())
   // Sorted so record layout is deterministic for a given catalog history.
   std::set<StatKey> dirty_entries_;
   std::set<StatKey> erased_entries_;

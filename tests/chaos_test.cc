@@ -2,7 +2,7 @@
 // fleet episode — faults + lifecycle ops + breaker recoveries — must
 // verify clean (untargeted tenants byte-identical to the no-fault twin
 // run, error victims converged to the fence-aware serial oracle) at more
-// than one worker/shard configuration, and the harness itself must be a
+// than one worker count, and the harness itself must be a
 // pure function of its options.
 //
 // The fleet here is intentionally smaller than examples/chaos_server's
@@ -55,27 +55,22 @@ class ChaosTest : public ::testing::Test {
 };
 
 // The acceptance configuration matrix: the same seeded episode schedule
-// must verify clean at several worker/shard combinations.
+// must verify clean at several worker counts.
 TEST_F(ChaosTest, SeededEpisodesVerifyAcrossConfigurations) {
-  const struct {
-    int workers;
-    int shards;
-  } configs[] = {{1, 1}, {4, 2}, {8, 4}};
-  for (const auto& [workers, shards] : configs) {
+  for (int workers : {1, 4, 8}) {
     ChaosOptions options = SmallFleet();
     options.workers = workers;
-    options.shards = shards;
     const ChaosReport report = RunChaosFleet(options);
     for (const std::string& finding : report.findings) {
-      ADD_FAILURE() << workers << "x" << shards << ": " << finding;
+      ADD_FAILURE() << workers << " workers: " << finding;
     }
-    EXPECT_TRUE(report.ok) << workers << "x" << shards;
+    EXPECT_TRUE(report.ok) << workers << " workers";
     // The episode actually exercised the machinery it claims to verify.
     EXPECT_EQ(report.episodes, options.episodes);
-    EXPECT_GT(report.faults_fired, 0) << workers << "x" << shards;
-    EXPECT_GT(report.breaker_trips, 0) << workers << "x" << shards;
+    EXPECT_GT(report.faults_fired, 0) << workers << " workers";
+    EXPECT_GT(report.breaker_trips, 0) << workers << " workers";
     EXPECT_EQ(report.breaker_recoveries, report.breaker_trips)
-        << workers << "x" << shards
+        << workers << " workers"
         << ": a tripped tenant failed to recover after disarm";
     EXPECT_EQ(report.removes, static_cast<int64_t>(
                                   options.episodes *
@@ -93,7 +88,6 @@ TEST_F(ChaosTest, SeededEpisodesVerifyAcrossConfigurations) {
 TEST_F(ChaosTest, BreakerTripsLeaveFlightDumps) {
   ChaosOptions options = SmallFleet();
   options.workers = 4;
-  options.shards = 2;
   options.flight_dump_dir = Root() + ".flight";
   const ChaosReport report = RunChaosFleet(options);
   for (const std::string& finding : report.findings) {
@@ -112,7 +106,6 @@ TEST_F(ChaosTest, BreakerTripsLeaveFlightDumps) {
 TEST_F(ChaosTest, SameOptionsSameReport) {
   ChaosOptions options = SmallFleet();
   options.workers = 4;
-  options.shards = 2;
   const ChaosReport a = RunChaosFleet(options);
   const ChaosReport b = RunChaosFleet(options);
   EXPECT_TRUE(a.ok);
@@ -132,7 +125,6 @@ TEST_F(ChaosTest, SameOptionsSameReport) {
 TEST_F(ChaosTest, AlternateSeedStillVerifies) {
   ChaosOptions options = SmallFleet();
   options.workers = 2;
-  options.shards = 1;
   options.seed = 0xDEC0DEull;
   const ChaosReport report = RunChaosFleet(options);
   for (const std::string& finding : report.findings) {

@@ -14,6 +14,9 @@
 //     to an older one and the replay gap fences the whole catalog.
 //  4. Plain (non-kill) append failures keep the dirty sets so the next
 //     commit re-journals them under the same LSN.
+//  5. Deferred fsync: with a deferral hook installed every commit owes
+//     its fsync to the hook's owner, and Flush() pays it (or, failing,
+//     keeps it owed).
 // The last test writes a clean `durability_artifacts` directory that the
 // `stats_fsck_scan` ctest step verifies with the offline checker.
 #include "stats/durability.h"
@@ -33,7 +36,6 @@
 #include "common/parallel.h"
 #include "core/auto_manager.h"
 #include "executor/dml_exec.h"
-#include "obs/metrics.h"
 #include "stats/stats_catalog.h"
 #include "tests/test_util.h"
 
@@ -576,18 +578,19 @@ TEST_F(DurabilityTest, PlainAppendFailureRetriesUnderSameLsn) {
   fs::remove_all(dir, ec);
 }
 
-// A failed Flush() must stay owed: the group-commit window stays open so
-// the NEXT Flush() physically retries the fsync instead of no-opping —
-// a poisoned flush can never be silently absorbed by a later pass that
-// has nothing of its own to sync.
+// A failed Flush() must stay owed: the deferred window stays open so the
+// NEXT Flush() physically retries the fsync instead of no-opping — a
+// poisoned flush can never be silently absorbed by a later pass that has
+// nothing of its own to sync.
 TEST_F(DurabilityTest, PoisonedFlushIsRetriedNotDropped) {
   const std::string dir = FreshDir("poisonflush");
   TwoTableDb t = MakeTwoTableDb(kFactRows, 100);
   StatsCatalog catalog(&t.db);
-  Result<std::unique_ptr<CatalogDurability>> opened = CatalogDurability::Open(
-      &catalog, {.dir = dir, .group_commit_statements = 4});
+  Result<std::unique_ptr<CatalogDurability>> opened =
+      CatalogDurability::Open(&catalog, {.dir = dir});
   ASSERT_TRUE(opened.ok());
   CatalogDurability* d = opened->get();
+  d->set_fsync_deferral([] {});  // open the window; nobody flushes but us
 
   catalog.Tick();
   catalog.CreateStatistic({t.fact_fk});
@@ -595,7 +598,7 @@ TEST_F(DurabilityTest, PoisonedFlushIsRetriedNotDropped) {
   catalog.Tick();
   catalog.CreateStatistic({t.fact_val});
   ASSERT_TRUE(d->CommitStatement().ok());
-  ASSERT_EQ(d->unsynced_appends(), 2);  // batched, fsync still owed
+  ASSERT_EQ(d->unsynced_appends(), 2);  // deferred, fsync still owed
 
   FaultSchedule schedule;  // plain failure on exactly the next fsync
   schedule.kind = FaultKind::kFailNth;
@@ -624,35 +627,39 @@ TEST_F(DurabilityTest, PoisonedFlushIsRetriedNotDropped) {
   fs::remove_all(dir, ec);
 }
 
-// --- 5. Group commit ------------------------------------------------------
+// --- 5. Deferred fsync ----------------------------------------------------
 
-// With group_commit_statements = N, every statement still appends its own
-// record (statement-boundary atomicity) but only every Nth commit fsyncs;
-// Flush() closes a partial batch. The journal contents — and therefore
-// recovery — are bit-identical to per-statement fsync.
+// With a deferral hook, every statement still appends its own record
+// (statement-boundary atomicity) but none pays its fsync: each commit
+// calls the hook, and one Flush() closes the window, reporting the LSN it
+// left durable. The journal contents — and therefore recovery — are
+// bit-identical to per-statement fsync.
 TEST_F(DurabilityTest, GroupCommitBatchesFsyncsAndFlushCloses) {
   const std::string dir = FreshDir("groupcommit");
   TwoTableDb t = MakeTwoTableDb(kFactRows, 100);
   StatsCatalog catalog(&t.db);
-  Result<std::unique_ptr<CatalogDurability>> opened = CatalogDurability::Open(
-      &catalog, {.dir = dir, .group_commit_statements = 3});
+  Result<std::unique_ptr<CatalogDurability>> opened =
+      CatalogDurability::Open(&catalog, {.dir = dir});
   ASSERT_TRUE(opened.ok());
   CatalogDurability* d = opened->get();
+  int requests = 0;
+  d->set_fsync_deferral([&requests] { ++requests; });
 
   for (int i = 0; i < 5; ++i) {
     catalog.Tick();
     catalog.CreateStatistic({ColumnRef{t.fact, static_cast<ColumnId>(i % 4)}});
     ASSERT_TRUE(d->CommitStatement().ok());
-    // Commits 1,2 buffer; 3 fsyncs the batch; 4,5 buffer again.
-    EXPECT_EQ(d->unsynced_appends(), (i + 1) % 3) << i;
+    EXPECT_EQ(requests, i + 1);
+    EXPECT_EQ(d->unsynced_appends(), i + 1);
     EXPECT_EQ(d->last_committed_lsn(), static_cast<uint64_t>(i + 1));
   }
-  EXPECT_EQ(d->unsynced_appends(), 2);
-  ASSERT_TRUE(d->Flush().ok());
+  uint64_t synced_lsn = 0;
+  ASSERT_TRUE(d->Flush(&synced_lsn).ok());
+  EXPECT_EQ(synced_lsn, 5u);
   EXPECT_EQ(d->unsynced_appends(), 0);
   ASSERT_TRUE(d->Flush().ok());  // idempotent no-op
 
-  // Every record — batched or not — is in the journal: recovery sees all 5.
+  // Every deferred record is in the journal: recovery sees all 5.
   StatsCatalog recovered(&t.db);
   RecoveryInfo info;
   Result<std::unique_ptr<CatalogDurability>> reopened =
@@ -660,78 +667,6 @@ TEST_F(DurabilityTest, GroupCommitBatchesFsyncsAndFlushCloses) {
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(info.last_lsn, 5u);
   EXPECT_EQ(info.records_replayed, 5u);
-  std::error_code ec;
-  fs::remove_all(dir, ec);
-}
-
-// The physical fsync count drops N-fold: the wal_fsync_us histogram's
-// count field counts FsyncStream calls on the journal.
-TEST_F(DurabilityTest, GroupCommitReducesPhysicalFsyncs) {
-  auto fsyncs_for = [&](int group) -> int64_t {
-    const std::string dir = FreshDir("fsynccount");
-    TwoTableDb t = MakeTwoTableDb(kFactRows, 100);
-    StatsCatalog catalog(&t.db);
-    Result<std::unique_ptr<CatalogDurability>> opened =
-        CatalogDurability::Open(
-            &catalog, {.dir = dir, .group_commit_statements = group});
-    EXPECT_TRUE(opened.ok());
-    obs::MetricsRegistry::Instance().ResetAll();
-    obs::EnableMetrics(true);
-    for (int i = 0; i < 12; ++i) {
-      catalog.Tick();
-      catalog.CreateStatistic({ColumnRef{t.fact, static_cast<ColumnId>(i % 3)}});
-      EXPECT_TRUE((*opened)->CommitStatement().ok());
-    }
-    EXPECT_TRUE((*opened)->Flush().ok());
-    obs::EnableMetrics(false);
-    int64_t count = 0;
-    for (const auto& [name, snap] :
-         obs::MetricsRegistry::Instance().HistogramValues()) {
-      if (name == "wal_fsync_us") count = snap.count;
-    }
-    std::error_code ec;
-    fs::remove_all(dir, ec);
-    return count;
-  };
-  EXPECT_EQ(fsyncs_for(1), 12);
-  EXPECT_EQ(fsyncs_for(4), 3);   // 12 statements in 3 full batches
-  EXPECT_EQ(fsyncs_for(5), 3);   // 2 full batches + Flush() of the tail
-}
-
-// A simulated kill on the batch fsync must behave exactly like the
-// per-statement case: the writer seals, the in-file records replay on
-// recovery, and the resumed run converges bit-identically.
-TEST_F(DurabilityTest, GroupCommitCrashMidBatchRecoversAtStatementBoundary) {
-  SetNumThreads(1);
-  TwoTableDb t = MakeTwoTableDb(kFactRows, 100);
-  const Workload w = CrashWorkload(t);
-  const Baseline base = ComputeBaseline(w);
-
-  const std::string dir = FreshDir("groupcrash");
-  FaultSchedule schedule;
-  schedule.kind = FaultKind::kFailNth;
-  schedule.nth = 2;
-  schedule.count = 1;
-  schedule.torn_write_bytes = 0;
-  FaultInjector::Instance().Arm(faults::kPersistenceFsync, schedule);
-  {
-    TwoTableDb run_db = MakeTwoTableDb(kFactRows, 100);
-    StatsCatalog catalog(&run_db.db);
-    Result<std::unique_ptr<CatalogDurability>> opened =
-        CatalogDurability::Open(
-            &catalog, {.dir = dir, .group_commit_statements = 2});
-    ASSERT_TRUE(opened.ok());
-    Optimizer optimizer(&run_db.db);
-    AutoStatsManager manager(&run_db.db, &catalog, &optimizer, TestPolicy());
-    manager.AttachDurability(opened->get());
-    for (const Statement& s : w.statements()) {
-      manager.Process(s);
-      if ((*opened)->crashed()) break;
-    }
-    EXPECT_TRUE((*opened)->crashed());
-  }
-  FaultInjector::Instance().Reset();
-  RecoverResumeAndCheck(w, dir, base, "group-commit fsync kill");
   std::error_code ec;
   fs::remove_all(dir, ec);
 }

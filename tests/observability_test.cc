@@ -14,12 +14,9 @@
 //     the trace with the expected payloads.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -37,28 +34,8 @@
 #include "stats/stats_catalog.h"
 #include "tests/test_util.h"
 
-// --- Counting global allocator (for the zero-allocation contract) ----
-// Counts every scalar/array new in the process. Tests snapshot the
-// counter around an instrumented region; the region is allocation-free
-// iff the counter did not move.
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Counting global allocator (for the zero-allocation contract).
+#include "tests/counting_new.h"
 
 namespace autostats {
 namespace {

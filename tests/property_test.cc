@@ -217,7 +217,9 @@ TEST_P(MnsaFaultDegradationTest, ConvergedCostMatchesBuildableSubset) {
     // The blocked key never lands in the catalog, and a failed build is
     // always surfaced as degradation.
     EXPECT_FALSE(mnsa_catalog.HasActive(unbuildable));
-    if (r.builds_failed > 0) EXPECT_TRUE(r.degraded);
+    if (r.builds_failed > 0) {
+      EXPECT_TRUE(r.degraded);
+    }
     if (!r.converged) continue;  // exhausted the buildable candidates
     const double with_mnsa =
         optimizer.Optimize(q, StatsView(&mnsa_catalog)).cost;

@@ -4,18 +4,18 @@
 //     interleavings, yield bit-identical per-tenant catalogs (the
 //     canonical digest dump) and byte-identical per-tenant traces.
 //  2. Durable determinism: the property holds with per-tenant WAL
-//     directories attached, and each tenant's durable state recovers to
-//     the bit-identical catalog in a fresh process ("process" = fresh
-//     catalog + CatalogDurability::Open).
+//     directories attached and the fsync coordinator on, and each
+//     tenant's durable state recovers to the bit-identical catalog in a
+//     fresh process ("process" = fresh catalog + CatalogDurability::Open).
 //  3. Fault isolation: a schedule armed with match "tenant=<name>" under
 //     concurrent multi-tenant traffic degrades only that tenant —
 //     sibling catalogs and traces are byte-identical to a no-fault run —
 //     across the stats.refresh, dml.apply, and persistence.* points.
 //  4. Admission control: TrySubmit rejects at the configured queue bound;
 //     blocking Submit counts backpressure waits; both are per-tenant.
-//  5. Weighted round-robin: TenantConfig::weight grants consecutive
-//     scheduling turns within a shard, deterministically.
-//  6. Cross-tenant async group commit: Drain quiesces the per-shard
+//  5. Round-robin: the single ready queue serves ready tenants one
+//     max_batch turn each, in FIFO order.
+//  6. Cross-tenant async group commit: Drain quiesces the server's
 //     fsync coordinator, and a kill injected mid cross-tenant fsync
 //     batch seals only the victim — every tenant independently recovers
 //     to its own statement boundary.
@@ -57,9 +57,7 @@ constexpr size_t kFactRows = 1200;
 constexpr size_t kDimRows = 60;
 
 std::string TenantName(size_t i) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "t%02zu", i);
-  return buf;
+  return (i < 10 ? "t0" : "t") + std::to_string(i);
 }
 
 std::string FreshDir(const std::string& name) {
@@ -133,7 +131,6 @@ struct TenantResult {
 struct RunConfig {
   size_t tenants = 5;
   int workers = 1;
-  int shards = 0;  // 0 = ServerOptions auto (min(workers, 8))
   uint64_t interleave_seed = 0;
   std::string durability_root;  // empty = in-memory tenants
   // The fault-isolation tests run tenants on the SQL Server 7 policy:
@@ -164,7 +161,6 @@ std::vector<TenantResult> RunServer(const RunConfig& cfg) {
 
   ServerOptions options;
   options.num_workers = cfg.workers;
-  options.num_shards = cfg.shards;
   options.max_queue_depth = 4;  // small, so ingress really backpressures
   options.max_batch = 3;
   AutoStatsServer server(options);
@@ -254,63 +250,26 @@ TEST_F(ServerTest, DeterministicAcrossWorkersAndInterleavings) {
       }
     }
   }
-}
 
-// The same property across shard topologies: shard count and worker
-// count are pure scheduling knobs — every combination, in-memory and
-// durable (with the default async-group-commit budget ON), yields the
-// bit-identical per-tenant catalogs and byte-identical traces of the
-// 1-shard/1-worker reference.
-TEST_F(ServerTest, DeterministicAcrossShardTopologies) {
-  RunConfig ref_cfg;
-  ref_cfg.workers = 1;
-  ref_cfg.shards = 1;
-  ref_cfg.interleave_seed = 7;
-  const std::vector<TenantResult> ref = RunServer(ref_cfg);
-
-  for (int shards : {1, 2, 4}) {
-    for (int workers : {1, 2, 4, 8}) {
-      RunConfig cfg;
-      cfg.shards = shards;
-      cfg.workers = workers;
-      cfg.interleave_seed = static_cast<uint64_t>(31 * shards + workers);
-      const std::vector<TenantResult> got = RunServer(cfg);
-      ASSERT_EQ(got.size(), ref.size());
-      for (size_t i = 0; i < ref.size(); ++i) {
-        EXPECT_EQ(got[i].dump, ref[i].dump)
-            << "catalog diverged: tenant " << i << " shards=" << shards
-            << " workers=" << workers;
-        EXPECT_EQ(got[i].digest, ref[i].digest);
-        EXPECT_EQ(got[i].trace, ref[i].trace)
-            << "trace diverged: tenant " << i << " shards=" << shards
-            << " workers=" << workers;
-      }
-    }
-  }
-
-  // Durable subset: WAL directories attached, fsync coordinator live.
+  // Durable subset: WAL directories attached, fsync coordinator live (the
+  // default budget) — its wall-clock passes must not leak into results.
   RunConfig dref_cfg;
   dref_cfg.tenants = 3;
   dref_cfg.workers = 1;
-  dref_cfg.shards = 1;
   dref_cfg.interleave_seed = 5;
-  dref_cfg.durability_root = FreshDir("shard_durable_ref");
+  dref_cfg.durability_root = FreshDir("durable_sweep_ref");
   const std::vector<TenantResult> dref = RunServer(dref_cfg);
-  for (int shards : {2, 4}) {
-    for (int workers : {1, 4}) {
-      RunConfig cfg = dref_cfg;
-      cfg.shards = shards;
-      cfg.workers = workers;
-      cfg.interleave_seed = static_cast<uint64_t>(7 * shards + workers);
-      cfg.durability_root = FreshDir("shard_durable_got");
-      const std::vector<TenantResult> got = RunServer(cfg);
-      for (size_t i = 0; i < dref.size(); ++i) {
-        EXPECT_EQ(got[i].dump, dref[i].dump)
-            << "durable catalog diverged: tenant " << i << " shards=" << shards
-            << " workers=" << workers;
-        EXPECT_EQ(got[i].trace, dref[i].trace);
-        EXPECT_EQ(got[i].report.durability_failures, 0);
-      }
+  for (int workers : {1, 2, 4, 8}) {
+    RunConfig cfg = dref_cfg;
+    cfg.workers = workers;
+    cfg.interleave_seed = static_cast<uint64_t>(7 * workers + 1);
+    cfg.durability_root = FreshDir("durable_sweep_got");
+    const std::vector<TenantResult> got = RunServer(cfg);
+    for (size_t i = 0; i < dref.size(); ++i) {
+      EXPECT_EQ(got[i].dump, dref[i].dump)
+          << "durable catalog diverged: tenant " << i << " workers=" << workers;
+      EXPECT_EQ(got[i].trace, dref[i].trace);
+      EXPECT_EQ(got[i].report.durability_failures, 0);
     }
   }
 }
@@ -318,12 +277,11 @@ TEST_F(ServerTest, DeterministicAcrossShardTopologies) {
 // Span attribution is an observer, not a participant: the same run with
 // logical spans recording yields byte-identical catalogs, digests, AND
 // traces to the spans-off reference (the PR 7 contract is untouched),
-// and the span streams themselves are byte-identical across worker and
-// shard counts.
+// and the span streams themselves are byte-identical across worker
+// counts.
 TEST_F(ServerTest, SpansOnPreservesDeterminismContract) {
   RunConfig off_cfg;
   off_cfg.workers = 1;
-  off_cfg.shards = 1;
   off_cfg.interleave_seed = 7;
   const std::vector<TenantResult> off = RunServer(off_cfg);
 
@@ -341,20 +299,16 @@ TEST_F(ServerTest, SpansOnPreservesDeterminismContract) {
     EXPECT_TRUE(off[i].spans.empty());  // disabled mode records nothing
   }
 
-  for (int shards : {1, 2}) {
-    for (int workers : {4, 8}) {
-      RunConfig cfg = on_cfg;
-      cfg.shards = shards;
-      cfg.workers = workers;
-      cfg.interleave_seed = static_cast<uint64_t>(17 * shards + workers);
-      const std::vector<TenantResult> got = RunServer(cfg);
-      for (size_t i = 0; i < off.size(); ++i) {
-        EXPECT_EQ(got[i].dump, off[i].dump);
-        EXPECT_EQ(got[i].trace, off[i].trace);
-        EXPECT_EQ(got[i].spans, on[i].spans)
-            << "span stream diverged: tenant " << i << " shards=" << shards
-            << " workers=" << workers;
-      }
+  for (int workers : {2, 4, 8}) {
+    RunConfig cfg = on_cfg;
+    cfg.workers = workers;
+    cfg.interleave_seed = static_cast<uint64_t>(17 + workers);
+    const std::vector<TenantResult> got = RunServer(cfg);
+    for (size_t i = 0; i < off.size(); ++i) {
+      EXPECT_EQ(got[i].dump, off[i].dump);
+      EXPECT_EQ(got[i].trace, off[i].trace);
+      EXPECT_EQ(got[i].spans, on[i].spans)
+          << "span stream diverged: tenant " << i << " workers=" << workers;
     }
   }
 }
@@ -555,18 +509,16 @@ TEST_F(ServerTest, BackpressureWaitsAreCounted) {
   EXPECT_GT(server.backpressure_waits(0), 0);
 }
 
-// --- 5. Weighted round-robin ----------------------------------------------
+// --- 5. Round-robin --------------------------------------------------------
 
-// Two tenants on one shard and one worker, queued before Start so the
-// schedule is fully deterministic: a weight-3 tenant takes three
-// consecutive max_batch turns at the head of the ready queue before
-// yielding, a weight-1 tenant exactly one.
-TEST_F(ServerTest, WeightedRoundRobinGivesConsecutiveTurns) {
+// Two tenants and one worker, queued before Start so the schedule is
+// fully deterministic: the ready queue is FIFO, so each tenant takes one
+// max_batch turn and then yields to the other.
+TEST_F(ServerTest, ReadyQueueAlternatesTenantsOneBatchPerTurn) {
   TwoTableDb ta = MakeTwoTableDb(200, 20);
   TwoTableDb tb = MakeTwoTableDb(200, 20);
   ServerOptions options;
   options.num_workers = 1;
-  options.num_shards = 1;
   options.max_batch = 2;
   options.max_queue_depth = 8;
   std::mutex mu;
@@ -576,24 +528,18 @@ TEST_F(ServerTest, WeightedRoundRobinGivesConsecutiveTurns) {
     order.push_back(tenant);
   };
   AutoStatsServer server(options);
-  server.AddTenant(
-      {.name = "a", .db = &ta.db, .policy = TenantPolicy(), .weight = 1});
-  server.AddTenant(
-      {.name = "b", .db = &tb.db, .policy = TenantPolicy(), .weight = 3});
+  server.AddTenant({.name = "a", .db = &ta.db, .policy = TenantPolicy()});
+  server.AddTenant({.name = "b", .db = &tb.db, .policy = TenantPolicy()});
   const Statement qa = Statement::MakeQuery(MakeFilterQuery(ta, 30));
   const Statement qb = Statement::MakeQuery(MakeFilterQuery(tb, 30));
   for (int i = 0; i < 6; ++i) EXPECT_TRUE(server.TrySubmit(0, qa).ok());
-  for (int i = 0; i < 6; ++i) EXPECT_TRUE(server.TrySubmit(1, qb).ok());
+  for (int i = 0; i < 4; ++i) EXPECT_TRUE(server.TrySubmit(1, qb).ok());
   server.Start();
   server.Drain();
   server.Stop();
 
-  // a takes one 2-statement turn and yields; b then burns its three
-  // turns (its whole queue) back to back; a finishes.
-  const std::vector<size_t> expected = {0, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0};
+  const std::vector<size_t> expected = {0, 0, 1, 1, 0, 0, 1, 1, 0, 0};
   EXPECT_EQ(order, expected);
-  EXPECT_EQ(server.Report(0).num_queries, 6);
-  EXPECT_EQ(server.Report(1).num_queries, 6);
 }
 
 // --- 6. Cross-tenant async group commit -----------------------------------
@@ -614,7 +560,6 @@ TEST_F(ServerTest, DrainQuiescesTheFsyncCoordinator) {
 
   ServerOptions options;
   options.num_workers = 2;
-  options.num_shards = 1;  // both tenants share one coordinator
   options.fsync_budget_per_sec = 0.001;   // one pass per ~17 minutes
   options.fsync_max_coalesce_us = 10000000;  // 10 s lag bound
   AutoStatsServer server(options);
@@ -633,7 +578,7 @@ TEST_F(ServerTest, DrainQuiescesTheFsyncCoordinator) {
   }
   server.Drain();
 
-  const FsyncCoordinator* coordinator = server.coordinator(0);
+  const FsyncCoordinator* coordinator = server.coordinator();
   ASSERT_NE(coordinator, nullptr);
   EXPECT_GE(coordinator->passes(), 1);
   EXPECT_GE(coordinator->fsyncs(), static_cast<int64_t>(kTenants));
@@ -676,7 +621,6 @@ TEST_F(ServerTest, CrashMidCrossTenantFsyncBatchRecoversPerTenant) {
 
   ServerOptions options;
   options.num_workers = 2;
-  options.num_shards = 1;  // all three tenants share one coordinator
   options.fsync_budget_per_sec = 2000.0;
   options.fsync_max_coalesce_us = 200;
   std::vector<std::string> live_dumps(kTenants);
@@ -879,7 +823,7 @@ TEST_F(ServerTest, DeadlineBudgetShedsInsteadOfBlocking) {
 
 // A persistently failing persistence.fsync trips the breaker; the
 // quarantined tenant answers degraded (parking up to the bound, shedding
-// past it) without ever blocking the shard, and an operator probe after
+// past it) without ever blocking its caller, and an operator probe after
 // the fault clears re-admits durable traffic and replays the parked work.
 TEST_F(ServerTest, QuarantinedTenantParksToTheBoundThenSheds) {
   const std::string root = FreshDir("quarantine_shed");
@@ -947,7 +891,6 @@ TEST_F(ServerTest, AsyncFsyncPassFailurePropagatesToBreaker) {
   TwoTableDb t = MakeTwoTableDb(kFactRows, kDimRows);
   ServerOptions options;
   options.num_workers = 1;
-  options.num_shards = 1;
   options.fsync_budget_per_sec = 2000.0;  // coordinator on
   options.fsync_max_coalesce_us = 200;
   options.breaker_trip_threshold = 1;
@@ -1013,7 +956,6 @@ TEST_F(ServerTest, BreakerProbeScheduleIsDeterministicAcrossWorkers) {
     }
     ServerOptions options;
     options.num_workers = workers;
-    options.num_shards = 1;
     options.max_queue_depth = 4;
     options.max_batch = 3;
     options.fsync_budget_per_sec = 0.0;
@@ -1113,15 +1055,15 @@ TEST_F(ServerTest, BreakerProbeScheduleIsDeterministicAcrossWorkers) {
 
 // --- 10. Lifecycle x concurrency matrix -------------------------------------
 
-// Remove + reopen + live AddTenant mid-stream, at every workers x shards
-// combination: the whole fleet — lifecycle target included — must be
-// byte-identical (catalogs AND traces) across configurations, and the
-// untouched tenants bit-identical to a serial single-threaded replay.
-TEST_F(ServerTest, LifecycleMidStreamDeterministicAcrossWorkersAndShards) {
+// Remove + reopen + live AddTenant mid-stream, at every worker count:
+// the whole fleet — lifecycle target included — must be byte-identical
+// (catalogs AND traces) across worker counts, and the untouched tenants
+// bit-identical to a serial single-threaded replay.
+TEST_F(ServerTest, LifecycleMidStreamDeterministicAcrossWorkers) {
   constexpr size_t kTenants = 4;    // initial fleet; one more added live
   constexpr size_t kLifecycle = 1;  // removed + reopened mid-stream
 
-  auto run = [&](int workers, int shards) {
+  auto run = [&](int workers) {
     const std::string root = FreshDir("lifecycle_matrix");
     obs::EnableTrace(true);
     std::vector<TwoTableDb> dbs;
@@ -1132,7 +1074,6 @@ TEST_F(ServerTest, LifecycleMidStreamDeterministicAcrossWorkersAndShards) {
     }
     ServerOptions options;
     options.num_workers = workers;
-    options.num_shards = shards;
     options.max_queue_depth = 4;
     options.max_batch = 3;
     options.fsync_budget_per_sec = 0.0;
@@ -1191,7 +1132,7 @@ TEST_F(ServerTest, LifecycleMidStreamDeterministicAcrossWorkersAndShards) {
     return out;
   };
 
-  const std::vector<TenantResult> ref = run(1, 1);
+  const std::vector<TenantResult> ref = run(1);
   ASSERT_EQ(ref.size(), kTenants + 1);
   for (size_t i = 0; i < ref.size(); ++i) {
     // No statements lost anywhere — including across the remove/reopen
@@ -1204,15 +1145,13 @@ TEST_F(ServerTest, LifecycleMidStreamDeterministicAcrossWorkersAndShards) {
   }
 
   for (int workers : {2, 4, 8}) {
-    for (int shards : {1, 2, 4}) {
-      const std::vector<TenantResult> got = run(workers, shards);
-      ASSERT_EQ(got.size(), ref.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].dump, ref[i].dump)
-            << "tenant " << i << " at " << workers << "x" << shards;
-        EXPECT_EQ(got[i].trace, ref[i].trace)
-            << "tenant " << i << " at " << workers << "x" << shards;
-      }
+    const std::vector<TenantResult> got = run(workers);
+    ASSERT_EQ(got.size(), ref.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].dump, ref[i].dump)
+          << "tenant " << i << " at " << workers << " workers";
+      EXPECT_EQ(got[i].trace, ref[i].trace)
+          << "tenant " << i << " at " << workers << " workers";
     }
   }
 

@@ -2,8 +2,8 @@
 // flight recorder (obs/span.h, server/health.h, obs/flight_recorder.h):
 //  1. Determinism property: with spans in kLogical mode, every tenant's
 //     span stream (the exact DumpJsonl bytes) is identical at 1, 2, 4,
-//     and 8 workers across 1/2/4-shard topologies — in-memory and with
-//     per-tenant WALs attached (inline fsync, budget 0).
+//     and 8 workers — in-memory and with per-tenant WALs attached
+//     (inline fsync, budget 0).
 //  2. Causal clocks: logical stamps carry the documented meanings —
 //     ingress/enqueue are the dense submit sequence, pickup/apply the
 //     processed count, and the WAL sub-segments count the victim
@@ -23,15 +23,14 @@
 //  7. Health plane: AutoStatsServer::Health() reports every tenant
 //     name-ordered with queue/park/breaker/WAL facts, and the JSON +
 //     Prometheus serializations carry the same data.
+//  8. Wall-mode fsync passes: with the coordinator on and several
+//     workers committing, each pass records the LSN it left durable
+//     (the ThreadSanitizer target for the coordinator/worker handoff).
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -47,25 +46,8 @@
 #include "server/health.h"
 #include "tests/test_util.h"
 
-// --- Counting global allocator (for the zero-allocation contract) ----
-namespace {
-std::atomic<uint64_t> g_allocations{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// Counting global allocator (for the zero-allocation contract).
+#include "tests/counting_new.h"
 
 namespace autostats {
 namespace {
@@ -81,9 +63,7 @@ constexpr size_t kFactRows = 1200;
 constexpr size_t kDimRows = 60;
 
 std::string TenantName(size_t i) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "t%02zu", i);
-  return buf;
+  return (i < 10 ? "t0" : "t") + std::to_string(i);
 }
 
 std::string FreshDir(const std::string& name) {
@@ -143,7 +123,6 @@ Workload TenantStream(const TwoTableDb& t, size_t tenant) {
 struct SpanRunConfig {
   size_t tenants = 4;
   int workers = 1;
-  int shards = 1;
   uint64_t interleave_seed = 7;
   std::string durability_root;  // empty = in-memory tenants
 };
@@ -163,7 +142,6 @@ std::vector<std::string> RunSpans(const SpanRunConfig& cfg) {
   }
   ServerOptions options;
   options.num_workers = cfg.workers;
-  options.num_shards = cfg.shards;
   options.max_queue_depth = 4;
   options.max_batch = 3;
   // Inline fsync: the coordinator's wall-clock passes never touch
@@ -218,7 +196,7 @@ class SpanTest : public ::testing::Test {
 
 // --- 1. The span determinism property --------------------------------------
 
-TEST_F(SpanTest, LogicalSpanStreamsByteIdenticalAcrossWorkersAndShards) {
+TEST_F(SpanTest, LogicalSpanStreamsByteIdenticalAcrossWorkers) {
   SpanRunConfig ref_cfg;
   const std::vector<std::string> ref = RunSpans(ref_cfg);
   for (size_t i = 0; i < ref.size(); ++i) {
@@ -228,17 +206,16 @@ TEST_F(SpanTest, LogicalSpanStreamsByteIdenticalAcrossWorkersAndShards) {
   // the property vacuous.
   for (size_t i = 1; i < ref.size(); ++i) EXPECT_NE(ref[i], ref[0]);
 
-  for (int shards : {1, 2, 4}) {
-    for (int workers : {1, 2, 4, 8}) {
+  for (int workers : {1, 2, 4, 8}) {
+    for (uint64_t seed : {31u, 62u}) {
       SpanRunConfig cfg;
-      cfg.shards = shards;
       cfg.workers = workers;
-      cfg.interleave_seed = static_cast<uint64_t>(31 * shards + workers);
+      cfg.interleave_seed = seed + static_cast<uint64_t>(workers);
       const std::vector<std::string> got = RunSpans(cfg);
       for (size_t i = 0; i < ref.size(); ++i) {
         EXPECT_EQ(got[i], ref[i])
-            << "span stream diverged: tenant " << i << " shards=" << shards
-            << " workers=" << workers;
+            << "span stream diverged: tenant " << i << " workers=" << workers
+            << " seed=" << cfg.interleave_seed;
       }
     }
   }
@@ -250,10 +227,9 @@ TEST_F(SpanTest, LogicalSpanStreamsByteIdenticalAcrossWorkersAndShards) {
   dref_cfg.durability_root = FreshDir("sweep_durable_ref");
   const std::vector<std::string> dref = RunSpans(dref_cfg);
   EXPECT_NE(dref[0].find("\"wal_append_us\":"), std::string::npos);
-  for (int workers : {4, 8}) {
+  for (int workers : {2, 4, 8}) {
     SpanRunConfig cfg = dref_cfg;
     cfg.workers = workers;
-    cfg.shards = 2;
     cfg.interleave_seed = static_cast<uint64_t>(100 + workers);
     cfg.durability_root = FreshDir("sweep_durable_got");
     const std::vector<std::string> got = RunSpans(cfg);
@@ -663,6 +639,67 @@ TEST_F(SpanTest, HealthReportsDegradedTenantWithParkedWork) {
   server.Drain();
   server.Stop();
   EXPECT_EQ(server.Health().tenants[0].health, "healthy");
+}
+
+// --- 8. Wall-mode fsync passes under concurrent commits ----------------------
+
+// Durable tenants, the fsync coordinator on, wall-clock spans, and several
+// workers: every commit defers its fsync, and the coordinator thread
+// flushes journals while their owning workers commit the next statements.
+// Each pass records the LSN it left durable — never decreasing, never
+// past the stream — and Drain's final pass covers the whole stream.
+TEST_F(SpanTest, WallFsyncPassesRecordDurableLsnUnderConcurrentCommits) {
+  obs::EnableSpans(obs::SpanMode::kWall);
+  const std::string root = FreshDir("wall_passes");
+  constexpr size_t kTenants = 4;
+  std::vector<TwoTableDb> dbs;
+  std::vector<Workload> streams;
+  for (size_t i = 0; i < kTenants; ++i) {
+    dbs.push_back(MakeTwoTableDb(kFactRows, kDimRows));
+    streams.push_back(TenantStream(dbs[i], i));
+  }
+  ServerOptions options;
+  options.num_workers = 4;
+  options.fsync_budget_per_sec = 2000.0;  // coordinator on, frequent passes
+  options.fsync_max_coalesce_us = 200;
+  AutoStatsServer server(options);
+  for (size_t i = 0; i < kTenants; ++i) {
+    TenantConfig tc;
+    tc.name = TenantName(i);
+    tc.db = &dbs[i].db;
+    tc.policy = TenantPolicy();
+    tc.policy.durability_checkpoint_every = 0;  // every fsync is a pass's
+    tc.durability_dir = root + "/" + tc.name;
+    server.AddTenant(tc);
+  }
+  server.Start();
+  for (size_t s = 0; s < streams[kTenants - 1].size(); ++s) {
+    for (size_t i = 0; i < kTenants; ++i) {
+      if (s < streams[i].size()) server.Submit(i, streams[i].statements()[s]);
+    }
+  }
+  server.Drain();
+
+  ASSERT_NE(server.coordinator(), nullptr);
+  EXPECT_GT(server.coordinator()->passes(), 0);
+  for (size_t i = 0; i < kTenants; ++i) {
+    const std::vector<obs::FsyncPassSpan> passes =
+        server.spans(i).FsyncPasses();
+    ASSERT_FALSE(passes.empty()) << "tenant " << i;
+    uint64_t prev = 0;
+    for (const obs::FsyncPassSpan& pass : passes) {
+      EXPECT_LE(pass.begin, pass.end);
+      EXPECT_GE(pass.synced_lsn, prev) << "tenant " << i;
+      EXPECT_LE(pass.synced_lsn, streams[i].size()) << "tenant " << i;
+      prev = pass.synced_lsn;
+    }
+    EXPECT_EQ(prev, streams[i].size()) << "tenant " << i;
+    EXPECT_EQ(server.durability(i)->unsynced_appends(), 0);
+    for (const obs::StatementSpan& span : server.spans(i).Spans()) {
+      EXPECT_TRUE(span.fsync_deferred);
+    }
+  }
+  server.Stop();
 }
 
 }  // namespace
