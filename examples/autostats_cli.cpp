@@ -9,8 +9,9 @@
 //   workload <path> run a workload file (MNSA + execute per query)
 //   advise <path>   what-if index recommendations for a workload file
 //   stats           list active and drop-listed statistics
-//   save <path>     persist the statistics catalog
-//   load <path>     restore a persisted catalog
+//   save <path>     write the catalog to a snapshot file (atomically)
+//   load <path>     install the statistics of a saved catalog or of a
+//                   durability snapshot-<lsn>.ckpt
 //   tables          list tables and row counts
 //   help, quit
 //
@@ -30,7 +31,7 @@
 #include "query/parser.h"
 #include "query/printer.h"
 #include "query/workload_io.h"
-#include "stats/persistence.h"
+#include "stats/durability.h"
 #include "tpcd/dbgen.h"
 #include "tpcd/tuning.h"
 

@@ -58,7 +58,7 @@ std::string FormatDouble(double v, int digits) {
   // Trim trailing zeros and a dangling decimal point.
   while (!s.empty() && s.back() == '0') s.pop_back();
   if (!s.empty() && s.back() == '.') s.pop_back();
-  if (s.empty()) s = "0";
+  if (s.empty()) s.push_back('0');
   return s;
 }
 

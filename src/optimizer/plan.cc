@@ -175,7 +175,8 @@ std::string PlanNode::ToString(const Database& db, const Query& query,
                    FormatDouble(cost_local, 1).c_str(),
                    FormatDouble(cost_subtree, 1).c_str());
   for (const auto& child : children) {
-    out += "\n" + child->ToString(db, query, indent + 1);
+    out += '\n';
+    out += child->ToString(db, query, indent + 1);
   }
   return out;
 }

@@ -115,7 +115,10 @@ std::string Query::Fingerprint() const {
     fp += StrFormat("%d.%d %s ", f.column.table, f.column.column,
                     CompareOpSymbol(f.op));
     fp += DatumToken(f.value);
-    if (f.op == CompareOp::kBetween) fp += " " + DatumToken(f.value2);
+    if (f.op == CompareOp::kBetween) {
+      fp += ' ';
+      fp += DatumToken(f.value2);
+    }
     fp += ";";
   }
   fp += "|J:";

@@ -119,6 +119,15 @@ class ByteReader {
   bool ok() const { return ok_; }
   bool AtEnd() const { return p_ == end_; }
 
+  // A u32 count of elements encoded in at least `min_bytes` each; fails
+  // the reader (returning 0) unless they fit in the bytes left, so no
+  // crafted count can size a container past the input that claims it.
+  uint32_t GetCount(size_t min_bytes) {
+    const uint32_t n = GetU32();
+    if (ok_ && n > static_cast<size_t>(end_ - p_) / min_bytes) ok_ = false;
+    return ok_ ? n : 0;
+  }
+
   uint8_t GetU8() {
     uint8_t v = 0;
     GetFixed(&v, sizeof(v));
@@ -217,27 +226,28 @@ void EncodeEntry(const StatEntry& entry, ByteWriter* w) {
 }
 
 bool DecodeEntry(ByteReader* r, StatEntry* entry) {
-  const uint32_t ncols = r->GetU32();
-  if (!r->ok() || ncols == 0 || ncols > 64) return false;
+  const uint32_t ncols = r->GetCount(24);  // table, column, prefix distinct
+  if (ncols == 0 || ncols > 64) return false;
   std::vector<ColumnRef> columns;
   columns.reserve(ncols);
-  for (uint32_t i = 0; i < ncols; ++i) {
+  for (uint32_t i = 0; i < ncols && r->ok(); ++i) {
     ColumnRef c;
     c.table = static_cast<TableId>(r->GetI64());
     c.column = static_cast<ColumnId>(r->GetI64());
+    // A statistic covers one table (MakeStatKey aborts otherwise).
+    if (i > 0 && c.table != columns.front().table) return false;
     columns.push_back(c);
   }
   const double rows_at_build = r->GetF64();
   std::vector<double> prefix;
   prefix.reserve(ncols);
-  for (uint32_t i = 0; i < ncols; ++i) prefix.push_back(r->GetF64());
+  for (uint32_t i = 0; i < ncols && r->ok(); ++i) prefix.push_back(r->GetF64());
   const double hist_rows = r->GetF64();
   const double hist_distinct = r->GetF64();
-  const uint32_t nbuckets = r->GetU32();
-  if (!r->ok() || nbuckets > (1u << 24)) return false;
+  const uint32_t nbuckets = r->GetCount(32);
   std::vector<HistogramBucket> buckets;
   buckets.reserve(nbuckets);
-  for (uint32_t i = 0; i < nbuckets; ++i) {
+  for (uint32_t i = 0; i < nbuckets && r->ok(); ++i) {
     HistogramBucket b;
     b.lo = r->GetF64();
     b.hi = r->GetF64();
@@ -248,11 +258,10 @@ bool DecodeEntry(ByteReader* r, StatEntry* entry) {
   Histogram2D grid;
   if (r->GetU8() != 0) {
     const double grid_rows = r->GetF64();
-    const uint32_t ncells = r->GetU32();
-    if (!r->ok() || ncells > (1u << 24)) return false;
+    const uint32_t ncells = r->GetCount(48);
     std::vector<GridBucket> cells;
     cells.reserve(ncells);
-    for (uint32_t i = 0; i < ncells; ++i) {
+    for (uint32_t i = 0; i < ncells && r->ok(); ++i) {
       GridBucket b;
       b.lo1 = r->GetF64();
       b.hi1 = r->GetF64();
@@ -270,11 +279,10 @@ bool DecodeEntry(ByteReader* r, StatEntry* entry) {
   entry->created_at = r->GetI64();
   entry->dropped_at = r->GetI64();
   entry->pending_full_rebuild = r->GetU8() != 0;
-  const uint32_t nbase = r->GetU32();
-  if (!r->ok() || nbase > (1u << 26)) return false;
+  const uint32_t nbase = r->GetCount(16);
   entry->base_dist.clear();
   entry->base_dist.reserve(nbase);
-  for (uint32_t i = 0; i < nbase; ++i) {
+  for (uint32_t i = 0; i < nbase && r->ok(); ++i) {
     ValueFreq vf;
     vf.value = r->GetF64();
     vf.freq = r->GetF64();
@@ -311,22 +319,21 @@ bool DecodeRecord(const std::string& payload, RecordPayload* rec) {
   rec->lsn = r.GetU64();
   rec->clock = r.GetI64();
   rec->stats_version = r.GetU64();
-  const uint32_t ncounters = r.GetU32();
-  if (!r.ok() || ncounters > (1u << 20)) return false;
+  const uint32_t ncounters = r.GetCount(17);  // table, rows, tracked bit
   rec->counters.clear();
-  for (uint32_t i = 0; i < ncounters; ++i) {
+  for (uint32_t i = 0; i < ncounters && r.ok(); ++i) {
     CounterRecord c;
     c.table = static_cast<TableId>(r.GetI64());
     c.rows = r.GetU64();
     c.tracked = r.GetU8() != 0;
     rec->counters.push_back(c);
   }
-  const uint32_t nerased = r.GetU32();
-  if (!r.ok() || nerased > (1u << 20)) return false;
+  const uint32_t nerased = r.GetCount(4);  // length prefixes
   rec->erased.clear();
-  for (uint32_t i = 0; i < nerased; ++i) rec->erased.push_back(r.GetStr());
-  const uint32_t nentries = r.GetU32();
-  if (!r.ok() || nentries > (1u << 20)) return false;
+  for (uint32_t i = 0; i < nerased && r.ok(); ++i) {
+    rec->erased.push_back(r.GetStr());
+  }
+  const uint32_t nentries = r.GetCount(95);  // one column, empty lists
   rec->entries.clear();
   rec->entries.resize(nentries);
   for (uint32_t i = 0; i < nentries; ++i) {
@@ -420,6 +427,109 @@ Status FsyncDir(const std::string& dir) {
   return Status::OK();
 }
 
+// The one record layout, shared by journal records and snapshots: the
+// catalog header, `counters` with their delta-tracking bits, the `erased`
+// keys, then the full state of each entry in `keys`.
+std::string EncodeRecord(
+    const StatsCatalog& catalog, uint64_t lsn,
+    const std::vector<std::pair<TableId, size_t>>& counters,
+    const std::vector<StatKey>& erased, const std::vector<StatKey>& keys) {
+  ByteWriter w;
+  w.PutU64(lsn);
+  w.PutI64(catalog.now());
+  w.PutU64(catalog.stats_version());
+  w.PutU32(static_cast<uint32_t>(counters.size()));
+  for (const auto& [table, rows] : counters) {
+    w.PutI64(table);
+    w.PutU64(rows);
+    w.PutU8(catalog.deltas().Tracked(table) ? 1 : 0);
+  }
+  w.PutU32(static_cast<uint32_t>(erased.size()));
+  for (const StatKey& key : erased) w.PutStr(key);
+  w.PutU32(static_cast<uint32_t>(keys.size()));
+  for (const StatKey& key : keys) {
+    const StatEntry* entry = catalog.FindEntry(key);
+    AUTOSTATS_CHECK_MSG(entry != nullptr, key.c_str());
+    EncodeEntry(*entry, &w);
+  }
+  return w.Take();
+}
+
+// The snapshot payload: a record carrying the complete catalog — every
+// counter, every entry (active and drop-listed) in key order, no erasures.
+std::string EncodeSnapshot(const StatsCatalog& catalog, uint64_t lsn) {
+  std::vector<std::pair<TableId, size_t>> counters =
+      catalog.ModificationCounters();
+  // Union in tracked tables that have no counter row yet, so the
+  // snapshot's tracking bits are complete for recovery fencing.
+  for (const TableId table : catalog.deltas().TrackedTables()) {
+    const auto found =
+        std::find_if(counters.begin(), counters.end(),
+                     [table](const auto& c) { return c.first == table; });
+    if (found == counters.end()) {
+      counters.emplace_back(table, catalog.modified_rows(table));
+    }
+  }
+  std::sort(counters.begin(), counters.end());
+  std::vector<StatKey> keys = catalog.ActiveKeys();
+  const std::vector<StatKey> dropped = catalog.DropListKeys();
+  keys.insert(keys.end(), dropped.begin(), dropped.end());
+  std::sort(keys.begin(), keys.end());
+  return EncodeRecord(catalog, lsn, counters, {}, keys);
+}
+
+// Writes a single-frame file — the snapshot magic and one frame carrying
+// `payload`, or only the journal magic when `payload` is empty — to `tmp`,
+// fsyncs it, and atomically renames it over `final_path`, honoring the
+// fsync and rename crash gates. Sets *killed when a gate simulated a
+// process kill; the caller decides what dies with it.
+Status PublishFile(const std::string& tmp, const std::string& final_path,
+                   const std::string& payload, const char* gate_detail,
+                   bool* killed) {
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr) return Status::Internal("cannot open " + tmp);
+  const bool is_journal = payload.empty();
+  const char* magic = is_journal ? kJournalMagic : kSnapshotMagic;
+  bool write_ok = std::fwrite(magic, 1, 8, f) == 8;
+  if (!is_journal) {
+    const std::string frame = FrameBytes(payload);
+    write_ok =
+        write_ok &&
+        std::fwrite(frame.data(), 1, frame.size(), f) == frame.size();
+  }
+  if (!write_ok) {
+    std::fclose(f);
+    return Status::Internal("write failed for " + tmp);
+  }
+  int64_t torn = -1;
+  const Status fsync_gate =
+      PokeFaultCrash(faults::kPersistenceFsync, gate_detail, &torn);
+  if (!fsync_gate.ok()) {
+    std::fflush(f);
+    std::fclose(f);
+    *killed = torn >= 0;
+    // Killed or failed before the tmp file was durable: it was never
+    // renamed, so recovery ignores it either way.
+    return fsync_gate;
+  }
+  const Status synced = FsyncStream(f, tmp);
+  std::fclose(f);
+  AUTOSTATS_RETURN_IF_ERROR(synced);
+
+  int64_t rename_torn = -1;
+  const Status rename_gate =
+      PokeFaultCrash(faults::kPersistenceRename, gate_detail, &rename_torn);
+  if (!rename_gate.ok()) {
+    *killed = rename_torn >= 0;
+    return rename_gate;
+  }
+  if (std::rename(tmp.c_str(), final_path.c_str()) != 0) {
+    return Status::Internal("rename failed: " + tmp + " -> " + final_path);
+  }
+  const std::string dir = fs::path(final_path).parent_path().string();
+  return FsyncDir(dir.empty() ? "." : dir);
+}
+
 // snapshot-<lsn>.ckpt files in `dir`, as (lsn, path), newest first.
 std::vector<std::pair<uint64_t, std::string>> ListSnapshots(
     const std::string& dir) {
@@ -438,10 +548,10 @@ std::vector<std::pair<uint64_t, std::string>> ListSnapshots(
   return out;
 }
 
-// Loads and validates one snapshot file into *rec. Returns a descriptive
-// error on any mismatch; the caller falls back to an older snapshot.
-Status LoadSnapshotFile(const std::string& path, uint64_t expected_lsn,
-                        RecordPayload* rec) {
+// Loads and validates one snapshot file into *rec: the magic, exactly one
+// frame with a valid CRC, a decodable payload. Returns an error naming
+// `path` on any mismatch (kNotFound if it cannot be opened).
+Status LoadSnapshotFile(const std::string& path, RecordPayload* rec) {
   std::string data;
   AUTOSTATS_RETURN_IF_ERROR(ReadWholeFile(path, &data));
   if (data.size() < sizeof(kSnapshotMagic) ||
@@ -460,10 +570,16 @@ Status LoadSnapshotFile(const std::string& path, uint64_t expected_lsn,
   if (!DecodeRecord(payload, rec)) {
     return Status::InvalidArgument(path + ": snapshot payload undecodable");
   }
-  if (rec->lsn != expected_lsn) {
-    return Status::InvalidArgument(path + ": snapshot LSN mismatch");
-  }
   return Status::OK();
+}
+
+// A checkpoint is a snapshot file whose header LSN matches its name; on
+// any error the caller falls back to an older one.
+Status LoadCheckpoint(const std::string& path, uint64_t lsn,
+                      RecordPayload* rec) {
+  AUTOSTATS_RETURN_IF_ERROR(LoadSnapshotFile(path, rec));
+  if (rec->lsn == lsn) return Status::OK();
+  return Status::InvalidArgument(path + ": snapshot LSN mismatch");
 }
 
 }  // namespace
@@ -553,7 +669,7 @@ Status CatalogDurability::Recover(RecoveryInfo* info) {
   bool loaded_snapshot = false;
   for (const auto& [lsn, path] : ListSnapshots(options_.dir)) {
     RecordPayload rec;
-    const Status loaded = LoadSnapshotFile(path, lsn, &rec);
+    const Status loaded = LoadCheckpoint(path, lsn, &rec);
     if (!loaded.ok()) {
       ++info->snapshots_skipped;
       info->detail += loaded.message() + "; ";
@@ -709,62 +825,14 @@ void CatalogDurability::ClearDirty() {
   dirty_counters_.clear();
 }
 
-std::string CatalogDurability::EncodeRecord(uint64_t lsn,
-                                            bool full_snapshot) const {
-  ByteWriter w;
-  w.PutU64(lsn);
-  w.PutI64(catalog_->now());
-  w.PutU64(catalog_->stats_version());
-
+std::string CatalogDurability::EncodeDirtyRecord(uint64_t lsn) const {
   std::vector<std::pair<TableId, size_t>> counters;
-  if (full_snapshot) {
-    counters = catalog_->ModificationCounters();
-    // Union in tracked tables that have no counter row yet, so the
-    // snapshot's tracking bits are complete for recovery fencing.
-    for (const TableId table : catalog_->deltas().TrackedTables()) {
-      const auto found = std::find_if(
-          counters.begin(), counters.end(),
-          [table](const auto& c) { return c.first == table; });
-      if (found == counters.end()) {
-        counters.emplace_back(table, catalog_->modified_rows(table));
-      }
-    }
-    std::sort(counters.begin(), counters.end());
-  } else {
-    for (const TableId table : dirty_counters_) {
-      counters.emplace_back(table, catalog_->modified_rows(table));
-    }
+  for (const TableId table : dirty_counters_) {
+    counters.emplace_back(table, catalog_->modified_rows(table));
   }
-  w.PutU32(static_cast<uint32_t>(counters.size()));
-  for (const auto& [table, rows] : counters) {
-    w.PutI64(table);
-    w.PutU64(rows);
-    w.PutU8(catalog_->deltas().Tracked(table) ? 1 : 0);
-  }
-
-  std::vector<StatKey> erased;
-  if (!full_snapshot) {
-    erased.assign(erased_entries_.begin(), erased_entries_.end());
-  }
-  w.PutU32(static_cast<uint32_t>(erased.size()));
-  for (const StatKey& key : erased) w.PutStr(key);
-
-  std::vector<StatKey> keys;
-  if (full_snapshot) {
-    keys = catalog_->ActiveKeys();
-    const std::vector<StatKey> dropped = catalog_->DropListKeys();
-    keys.insert(keys.end(), dropped.begin(), dropped.end());
-    std::sort(keys.begin(), keys.end());
-  } else {
-    keys.assign(dirty_entries_.begin(), dirty_entries_.end());
-  }
-  w.PutU32(static_cast<uint32_t>(keys.size()));
-  for (const StatKey& key : keys) {
-    const StatEntry* entry = catalog_->FindEntry(key);
-    AUTOSTATS_CHECK_MSG(entry != nullptr, key.c_str());
-    EncodeEntry(*entry, &w);
-  }
-  return w.Take();
+  return EncodeRecord(*catalog_, lsn, counters,
+                      {erased_entries_.begin(), erased_entries_.end()},
+                      {dirty_entries_.begin(), dirty_entries_.end()});
 }
 
 Status CatalogDurability::AppendFrame(const std::string& payload,
@@ -867,7 +935,7 @@ Status CatalogDurability::CommitStatementLocked(bool* defer_fsync) {
   // entries advances the logical clock, and the LSN sequence numbering
   // statements is what makes post-crash resume exactly-once.
   const uint64_t lsn = next_lsn_;
-  const std::string payload = EncodeRecord(lsn, /*full_snapshot=*/false);
+  const std::string payload = EncodeDirtyRecord(lsn);
   bool record_persisted = false;
   Status appended;
   {
@@ -925,53 +993,6 @@ Status CatalogDurability::CommitStatementLocked(bool* defer_fsync) {
   return appended;
 }
 
-Status CatalogDurability::PublishFile(const std::string& tmp,
-                                      const std::string& final_path,
-                                      const std::string& payload,
-                                      const char* gate_detail) {
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return Status::Internal("cannot open " + tmp);
-  const bool is_journal = payload.empty();
-  const char* magic = is_journal ? kJournalMagic : kSnapshotMagic;
-  bool write_ok = std::fwrite(magic, 1, 8, f) == 8;
-  if (!is_journal) {
-    const std::string frame = FrameBytes(payload);
-    write_ok =
-        write_ok &&
-        std::fwrite(frame.data(), 1, frame.size(), f) == frame.size();
-  }
-  if (!write_ok) {
-    std::fclose(f);
-    return Status::Internal("write failed for " + tmp);
-  }
-  int64_t torn = -1;
-  const Status fsync_gate =
-      PokeFaultCrash(faults::kPersistenceFsync, gate_detail, &torn);
-  if (!fsync_gate.ok()) {
-    std::fflush(f);
-    std::fclose(f);
-    if (torn >= 0) Seal();
-    // Killed or failed before the tmp file was durable: it was never
-    // renamed, so recovery ignores it either way.
-    return fsync_gate;
-  }
-  const Status synced = FsyncStream(f, tmp);
-  std::fclose(f);
-  AUTOSTATS_RETURN_IF_ERROR(synced);
-
-  int64_t rename_torn = -1;
-  const Status rename_gate =
-      PokeFaultCrash(faults::kPersistenceRename, gate_detail, &rename_torn);
-  if (!rename_gate.ok()) {
-    if (rename_torn >= 0) Seal();
-    return rename_gate;
-  }
-  if (std::rename(tmp.c_str(), final_path.c_str()) != 0) {
-    return Status::Internal("rename failed: " + tmp + " -> " + final_path);
-  }
-  return FsyncDir(options_.dir);
-}
-
 Status CatalogDurability::Checkpoint() {
   obs::ScopedLatency timer(WalCheckpointHistogram());
   const uint64_t lsn_before = last_committed_lsn();
@@ -1008,17 +1029,19 @@ Status CatalogDurability::CheckpointImpl(bool* defer_fsync) {
     AUTOSTATS_RETURN_IF_ERROR(CommitStatementLocked(defer_fsync));
   }
   const uint64_t lsn = last_committed_lsn();
-  const std::string payload = EncodeRecord(lsn, /*full_snapshot=*/true);
-  AUTOSTATS_RETURN_IF_ERROR(PublishFile(options_.dir + "/snapshot.tmp",
-                                        SnapshotPath(lsn), payload,
-                                        "snapshot"));
-
+  bool killed = false;
+  Status published =
+      PublishFile(options_.dir + "/snapshot.tmp", SnapshotPath(lsn),
+                  EncodeSnapshot(*catalog_, lsn), "snapshot", &killed);
   // Swap in a fresh, empty journal the same way. Failure here is benign:
   // the old journal's records are all at or below the snapshot LSN and
   // recovery skips them.
-  AUTOSTATS_RETURN_IF_ERROR(PublishFile(options_.dir + "/journal.tmp",
-                                        JournalPath(), std::string(),
-                                        "journal-swap"));
+  if (published.ok()) {
+    published = PublishFile(options_.dir + "/journal.tmp", JournalPath(),
+                            std::string(), "journal-swap", &killed);
+  }
+  if (killed) Seal();
+  AUTOSTATS_RETURN_IF_ERROR(published);
   std::fclose(journal_);
   journal_ = std::fopen(JournalPath().c_str(), "ab");
   if (journal_ == nullptr) {
@@ -1042,6 +1065,44 @@ Status CatalogDurability::CheckpointImpl(bool* defer_fsync) {
 }
 
 // ---------------------------------------------------------------------------
+// Catalog files
+
+Status SaveCatalog(const StatsCatalog& catalog, const std::string& path) {
+  AUTOSTATS_RETURN_IF_ERROR(PokeFault(faults::kPersistenceSave, path.c_str()));
+  // A saved catalog belongs to no journal: header LSN 0. A simulated kill
+  // is only a failed save here — there is no writer to seal.
+  bool killed = false;
+  return PublishFile(path + ".tmp", path, EncodeSnapshot(catalog, 0),
+                     path.c_str(), &killed);
+}
+
+Status LoadCatalog(StatsCatalog* catalog, const std::string& path) {
+  AUTOSTATS_RETURN_IF_ERROR(PokeFault(faults::kPersistenceLoad, path.c_str()));
+  RecordPayload rec;
+  AUTOSTATS_RETURN_IF_ERROR(LoadSnapshotFile(path, &rec));
+  const Database& db = catalog->db();
+  for (const StatEntry& e : rec.entries) {
+    const TableId table = e.stat.table();
+    bool known = table >= 0 && table < db.num_tables();
+    for (const ColumnRef& c : e.stat.columns()) {
+      known = known && c.column >= 0 &&
+              c.column < db.table(table).schema().num_columns();
+    }
+    if (!known) {
+      return Status::InvalidArgument(path + ": statistic " + e.stat.key() +
+                                     " names a column outside the database");
+    }
+  }
+  for (StatEntry& e : rec.entries) {
+    // The base comes back bit-exact, but this process's DeltaStore never
+    // saw the DML since the save: rescan first, as after a recovery.
+    if (!e.base_dist.empty()) e.pending_full_rebuild = true;
+    catalog->RestoreEntry(std::move(e));
+  }
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
 // Fsck
 
 FsckReport FsckDurabilityDir(const std::string& dir,
@@ -1059,7 +1120,7 @@ FsckReport FsckDurabilityDir(const std::string& dir,
   for (const auto& [lsn, path] : ListSnapshots(dir)) {
     ++report.snapshots_checked;
     RecordPayload rec;
-    const Status loaded = LoadSnapshotFile(path, lsn, &rec);
+    const Status loaded = LoadCheckpoint(path, lsn, &rec);
     if (!loaded.ok()) {
       ++report.snapshots_bad;
       report.ok = false;

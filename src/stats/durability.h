@@ -26,6 +26,8 @@
 //    newer snapshot was lost to corruption) conservatively flags every
 //    entry. The MNSA / MNSA-D loop then converges back to the exact
 //    catalog through ordinary triggered rescans.
+//  - Catalog files (SaveCatalog / LoadCatalog): one snapshot, published
+//    and decoded by the same code, outside any durability directory.
 //
 // Crash injection: writes gate on the persistence.append /
 // persistence.fsync / persistence.rename fault points through
@@ -103,6 +105,24 @@ struct FsckReport {
 
 FsckReport FsckDurabilityDir(const std::string& dir,
                              const FsckOptions& options = {});
+
+// Catalog files hand a catalog to another process without rebuilding its
+// statistics. A catalog file is a one-frame snapshot file in the format
+// Checkpoint() publishes (header LSN 0), so a snapshot-<lsn>.ckpt loads
+// too. A save writes every entry, bases included, through the
+// checkpoint's tmp + fsync + rename path, so a failed save leaves any
+// previous file intact. Gated on persistence.save.
+Status SaveCatalog(const StatsCatalog& catalog, const std::string& path);
+
+// Installs a catalog file's entries at no build cost (gated on
+// persistence.load): kNotFound for a missing file, kInvalidArgument naming
+// `path` for anything malformed or on a column catalog->db() lacks. The
+// file is checked whole first, so a failed load leaves the catalog and its
+// stats_version untouched. Only entries are installed, not the clock or
+// counters; each replaces any entry with its key and bumps stats_version.
+// An entry that held a base comes back pending_full_rebuild: the base is
+// exact, but this process's DeltaStore never saw the DML since the save.
+Status LoadCatalog(StatsCatalog* catalog, const std::string& path);
 
 // The durability manager for one StatsCatalog. Attaches itself as the
 // catalog's mutation listener; AutoStatsManager drives CommitStatement()
@@ -227,9 +247,8 @@ class CatalogDurability : public CatalogMutationListener {
   CatalogDurability(StatsCatalog* catalog, DurabilityOptions options);
 
   Status Recover(RecoveryInfo* info);
-  // Serializes the dirty sets (or, for a snapshot, the whole catalog)
-  // into one frame payload stamped with `lsn`.
-  std::string EncodeRecord(uint64_t lsn, bool full_snapshot) const;
+  // Serializes the dirty sets into one journal record stamped with `lsn`.
+  std::string EncodeDirtyRecord(uint64_t lsn) const;
   // Appends one frame to the open journal, honoring the append/fsync
   // crash gates. `gate_detail` feeds the schedules' match filter. Sets
   // *record_persisted once the full frame reached the file — a later
@@ -239,9 +258,6 @@ class CatalogDurability : public CatalogMutationListener {
   // One physical journal fsync covering every append since the last one;
   // honors the fsync crash gate and closes the deferred window.
   Status SyncJournal(const char* gate_detail);
-  // Writes a single-frame file and atomically renames it over `final`.
-  Status PublishFile(const std::string& tmp, const std::string& final_path,
-                     const std::string& payload, const char* gate_detail);
   void ClearDirty();
 
   std::string JournalPath() const;

@@ -494,9 +494,9 @@ double StatsCatalog::RefreshIfTriggered(const UpdateTriggerPolicy& policy) {
           any_changed = any_changed || changed;
         } else {
           // Legacy row-count scaling: the entry has no base distribution
-          // to merge into (restored from persistence, or already scaled
-          // once), so scale the existing histogram to the new row count
-          // until its next full rebuild.
+          // to merge into (already scaled once, or restored from a state
+          // that had none), so scale the existing histogram to the new
+          // row count until its next full rebuild.
           Statistic scaled = entry.stat.ScaledTo(static_cast<double>(rows));
           const bool changed = !SameStatistic(entry.stat, scaled);
           entry.stat = std::move(scaled);

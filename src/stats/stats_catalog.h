@@ -35,8 +35,10 @@ struct StatEntry {
   int64_t dropped_at = -1;     // logical time of last move to drop-list
   // Compressed leading-column distribution captured at the last full
   // build — the base incremental refreshes merge delta sketches into.
-  // Empty for entries restored from persistence or refreshed by pure
-  // row-count scaling: those keep scaling until their next full rebuild.
+  // The journal, snapshots and catalog files carry it bit-exactly. Empty
+  // for entries refreshed by pure row-count scaling (and for entries
+  // restored from a state that had none): those keep scaling until their
+  // next full rebuild.
   std::vector<ValueFreq> base_dist;
   // Set when the base distribution cannot be trusted to merge deltas
   // exactly: an incremental merge failed, the delta stream was poisoned,
@@ -130,8 +132,8 @@ class StatsCatalog {
   }
 
   // Installs a previously built entry without touching data or charging
-  // cost (catalog persistence; see stats/persistence.h). Replaces any
-  // entry with the same key.
+  // cost (crash recovery and LoadCatalog; see stats/durability.h).
+  // Replaces any entry with the same key and bumps stats_version.
   void RestoreEntry(StatEntry entry);
 
   // True if an active (not drop-listed) statistic with this key exists.

@@ -1,5 +1,6 @@
 // Counting replacements for the whole global operator new/delete family,
-// for the zero-allocation contracts in span_test and observability_test.
+// for the zero-allocation contracts in span_test and observability_test
+// and the hostile-payload allocation bound in durability_test.
 //
 // Include from exactly ONE translation unit per test binary: this header
 // defines the replaceable global allocation functions. Every variant is
@@ -22,8 +23,17 @@ namespace {
 // instrumented region; the region is allocation-free iff it did not move.
 std::atomic<uint64_t> g_allocations{0};
 
+// The largest single request since a test last reset it to 0: bounds the
+// memory a hostile input can make a decoder ask for.
+std::atomic<std::size_t> g_largest_allocation{0};
+
 void* CountedAlloc(std::size_t size, std::size_t align = 0) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  std::size_t largest = g_largest_allocation.load(std::memory_order_relaxed);
+  while (size > largest &&
+         !g_largest_allocation.compare_exchange_weak(
+             largest, size, std::memory_order_relaxed)) {
+  }
   if (size == 0) size = 1;
   if (align <= alignof(std::max_align_t)) return std::malloc(size);
   void* p = nullptr;

@@ -1,7 +1,8 @@
 // Crash-safety tests for the statistics catalog's durability layer
 // (stats/durability.h):
 //  1. Round trip: a cleanly closed journal + snapshot directory reopens
-//     to the bit-identical catalog.
+//     to the bit-identical catalog, and a checkpoint loads through
+//     LoadCatalog with bit-identical entries.
 //  2. Crash-property sweep: simulated kills at every persistence fault
 //     point (append / fsync / rename), at every schedule position, with
 //     torn prefixes of 0, a few, and "all" bytes. Recovery must yield a
@@ -17,6 +18,10 @@
 //  5. Deferred fsync: with a deferral hook installed every commit owes
 //     its fsync to the hook's owner, and Flush() pays it (or, failing,
 //     keeps it owed).
+//  6. Hostile payloads: crafted counts and seeded mutations (byte flips,
+//     truncations, u32 count overwrites) of a saved catalog, framed with
+//     a valid CRC, are loaded, rejected, skipped or truncated — never
+//     fatal, never a large allocation.
 // The last test writes a clean `durability_artifacts` directory that the
 // `stats_fsck_scan` ctest step verifies with the offline checker.
 #include "stats/durability.h"
@@ -28,15 +33,19 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/fault.h"
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "core/auto_manager.h"
 #include "executor/dml_exec.h"
+#include "server/catalog_digest.h"
 #include "stats/stats_catalog.h"
+#include "tests/counting_new.h"
 #include "tests/test_util.h"
 
 namespace autostats {
@@ -399,6 +408,28 @@ void CommitThreeStatistics(const std::string& dir, const TwoTableDb& t,
   ASSERT_EQ((*out)->last_committed_lsn(), 3u);
 }
 
+TEST_F(DurabilityTest, CheckpointFileLoadsAsACatalog) {
+  // A catalog file is a one-frame snapshot, so LoadCatalog reads a
+  // checkpoint: same keys, drop-list membership and bit-identical
+  // statistics. The clock stays behind.
+  const std::string dir = FreshDir("ckptload");
+  TwoTableDb t = MakeTwoTableDb(kFactRows, 100);
+  StatsCatalog catalog(&t.db);
+  std::unique_ptr<CatalogDurability> d;
+  CommitThreeStatistics(dir, t, &catalog, &d);
+  catalog.MoveToDropList(MakeStatKey({t.fact_grp}));
+  ASSERT_TRUE(d->Checkpoint().ok());  // commits LSN 4 first
+
+  StatsCatalog loaded(&t.db);
+  ASSERT_TRUE(LoadCatalog(&loaded, dir + "/snapshot-4.ckpt").ok());
+  std::vector<std::string> want = DumpCatalog(catalog);
+  want.front() = "clock=0";
+  EXPECT_EQ(DumpCatalog(loaded), want);
+  EXPECT_EQ(loaded.num_drop_listed(), 1u);
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
 TEST_F(DurabilityTest, TornTailIsTruncatedNotFatal) {
   const std::string dir = FreshDir("torntail");
   TwoTableDb t = MakeTwoTableDb(kFactRows, 100);
@@ -671,7 +702,202 @@ TEST_F(DurabilityTest, GroupCommitBatchesFsyncsAndFlushCloses) {
   fs::remove_all(dir, ec);
 }
 
-// --- 6. Artifacts for the stats_fsck ctest step ---------------------------
+// --- 6. Hostile payloads ---------------------------------------------------
+//
+// Each payload is framed with a valid CRC, so every byte reaches the one
+// record decoder, and is fed to LoadCatalog as a catalog file and to
+// Open() as snapshot-1.ckpt and as the journal record after snapshot-0.
+
+template <typename T>
+void Put(std::string* out, T v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+// A file magic, then one frame: frame magic, length, CRC-32, payload.
+std::string Framed(const char* file_magic, const std::string& payload) {
+  std::string out(file_magic, 8);
+  Put(&out, uint32_t{0x4C4E524A});
+  Put(&out, static_cast<uint32_t>(payload.size()));
+  Put(&out, Crc32(payload.data(), payload.size()));
+  return out + payload;
+}
+
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary) << bytes;
+}
+
+class HostilePayloadTest : public ::testing::Test {
+ protected:
+  HostilePayloadTest() : t_(MakeTwoTableDb(500, 20)), target_(&t_.db) {
+    target_.CreateStatistic({t_.fact_fk});
+    fs::remove_all(dir_);
+    fs::create_directories(ckpt_dir_);
+    WriteFile(ckpt_dir_ + "/journal.wal", "ASJL0001");
+    StatsCatalog empty(&t_.db);
+    auto d = CatalogDurability::Open(&empty, {.dir = wal_dir_});
+    EXPECT_TRUE(d.ok() && (*d)->Checkpoint().ok());  // snapshot-0.ckpt
+  }
+  ~HostilePayloadTest() override { fs::remove_all(dir_); }
+
+  // Returns LoadCatalog's status; Open() reports into the infos below.
+  Status Feed(const std::string& payload) {
+    WriteFile(file_, Framed("ASSN0001", payload));
+    WriteFile(ckpt_dir_ + "/snapshot-1.ckpt", Framed("ASSN0001", payload));
+    WriteFile(wal_dir_ + "/journal.wal", Framed("ASJL0001", payload));
+    const uint32_t digest = CatalogDigest(target_);
+    StatsCatalog from_ckpt(&t_.db);
+    StatsCatalog from_wal(&t_.db);
+    ckpt_info_ = wal_info_ = {};
+    g_largest_allocation = 0;
+    const Status load = LoadCatalog(&target_, file_);
+    EXPECT_TRUE(
+        CatalogDurability::Open(&from_ckpt, {.dir = ckpt_dir_}, &ckpt_info_)
+            .ok());
+    EXPECT_TRUE(
+        CatalogDurability::Open(&from_wal, {.dir = wal_dir_}, &wal_info_).ok());
+    EXPECT_LE(g_largest_allocation.load(), size_t{1} << 20);
+    if (!load.ok()) {
+      EXPECT_EQ(load.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(load.message().find(file_), std::string::npos);
+      EXPECT_EQ(CatalogDigest(target_), digest);
+    }
+    // The checkpoint is skipped or loaded; the record replayed or cut off
+    // as the journal's bad tail.
+    EXPECT_EQ(ckpt_info_.snapshots_skipped + (ckpt_info_.recovered ? 1 : 0), 1);
+    EXPECT_EQ(wal_info_.snapshots_skipped, 0);
+    EXPECT_NE(wal_info_.records_replayed == 1, wal_info_.journal_truncated);
+    return load;
+  }
+
+  TwoTableDb t_;
+  StatsCatalog target_;
+  const std::string dir_ = "durability_test.hostile.dir";
+  const std::string file_ = dir_ + "/saved.catalog";
+  const std::string ckpt_dir_ = dir_ + "/ckpt";
+  const std::string wal_dir_ = dir_ + "/wal";
+  RecoveryInfo ckpt_info_;  // Open() with the payload as snapshot-1.ckpt
+  RecoveryInfo wal_info_;   // Open() with it as the record after snapshot-0
+};
+
+// A record at LSN 1 (clock and stats_version 0, no counters or erased
+// keys) claiming `nentries` entries, followed by `entries`.
+std::string Record(uint32_t nentries, const std::string& entries) {
+  std::string p;
+  for (uint64_t v : {1, 0, 0}) Put(&p, v);
+  Put(&p, uint64_t{0});  // counter and erased-key counts
+  Put(&p, nentries);
+  return p + entries;
+}
+
+TEST_F(HostilePayloadTest, CraftedCountsAreRejectedWithoutLargeAllocations) {
+  std::string entry;  // column 0:0, rows, one prefix, histogram totals
+  Put(&entry, uint32_t{1});
+  for (int i = 0; i < 6; ++i) Put(&entry, uint64_t{0});
+  std::string huge_buckets = entry;
+  Put(&huge_buckets, uint32_t{1} << 24);
+  std::string huge_base = entry;
+  Put(&huge_base, uint32_t{0});  // buckets
+  Put(&huge_base, uint16_t{0});  // grid flag, drop bit
+  for (int i = 0; i < 4; ++i) Put(&huge_base, uint64_t{0});
+  Put(&huge_base, uint8_t{0});   // fence bit
+  Put(&huge_base, uint32_t{1} << 26);
+  // 36, 92 and 131 bytes.
+  for (const std::string& payload :
+       {Record(uint32_t{1} << 20, ""), Record(1, huge_buckets),
+        Record(1, huge_base)}) {
+    SCOPED_TRACE(payload.size());
+    EXPECT_EQ(Feed(payload).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(ckpt_info_.snapshots_skipped, 1);
+    EXPECT_TRUE(wal_info_.journal_truncated);
+  }
+}
+
+// Offsets of the u32 count fields of a snapshot payload, found by walking
+// the layout the encoder writes.
+std::vector<size_t> CountFieldOffsets(const std::string& p) {
+  std::vector<size_t> out;
+  size_t off = 24;  // lsn, clock, stats_version
+  const auto count = [&](size_t element_bytes) {
+    uint32_t n = 0;
+    std::memcpy(&n, p.data() + off, sizeof(n));
+    out.push_back(off);
+    off += 4 + size_t{n} * element_bytes;
+    return n;
+  };
+  count(17);  // counters
+  count(0);   // erased keys: none in a snapshot
+  for (uint32_t e = count(0); e > 0; --e) {
+    const uint32_t columns = count(16);
+    off += 24 + 8 * size_t{columns};  // rows, prefixes, histogram totals
+    count(32);                        // buckets
+    if (p[off++] != 0) {
+      off += 8;  // grid rows
+      count(48);
+    }
+    off += 34;  // drop bit, update count, cost, times, fence bit
+    count(16);  // base pairs
+  }
+  EXPECT_EQ(off, p.size());
+  return out;
+}
+
+// `p` with a few bytes flipped, truncated, or with one count field
+// overwritten by an edge value.
+std::string Mutate(std::string p, const std::vector<size_t>& counts,
+                   Rng* rng) {
+  switch (rng->NextU64(3)) {
+    case 0:
+      for (uint64_t i = rng->NextU64(4); i < 4; ++i) {
+        p[rng->NextU64(p.size())] ^= static_cast<char>(1 + rng->NextU64(255));
+      }
+      break;
+    case 1:
+      p.resize(rng->NextU64(p.size()));
+      break;
+    default: {
+      const size_t at = counts[rng->NextU64(counts.size())];
+      uint32_t n = 0;
+      std::memcpy(&n, p.data() + at, sizeof(n));
+      const uint32_t edges[] = {0,        1,        n - 1,    n + 1, ~0u,
+                                1u << 20, 1u << 24, 1u << 26,
+                                static_cast<uint32_t>(rng->Next())};
+      n = edges[rng->NextU64(std::size(edges))];
+      std::memcpy(p.data() + at, &n, sizeof(n));
+    }
+  }
+  return p;
+}
+
+TEST_F(HostilePayloadTest, SeededMutationsAreLoadedOrRejectedNeverFatal) {
+  StatsBuildConfig build;
+  build.num_buckets = 8;
+  build.build_2d_grids = true;
+  StatsCatalog source(&t_.db, build);
+  source.CreateStatistic({t_.fact_grp, t_.fact_val});  // a grid and a base
+  source.CreateStatistic({t_.fact_flag});
+  source.MoveToDropList(MakeStatKey({t_.fact_flag}));
+  source.CreateStatistic({t_.dim_pk});
+  StatEntry baseless = *source.FindEntry(MakeStatKey({t_.dim_pk}));
+  baseless.base_dist.clear();
+  source.RestoreEntry(std::move(baseless));
+  source.RecordModifications(t_.fact, 7);
+  ASSERT_TRUE(SaveCatalog(source, file_).ok());
+  std::ifstream in(file_, std::ios::binary);
+  std::string seed(std::istreambuf_iterator<char>(in), {});
+  seed.erase(0, 20);  // file magic and frame header
+  seed[0] = 1;        // LSN 1, so the intact payload loads as snapshot-1
+  const std::vector<size_t> counts = CountFieldOffsets(seed);
+
+  Rng rng(14);
+  int loaded = 0;
+  for (int i = 0; i < 3000 && !HasFailure(); ++i) {
+    SCOPED_TRACE(i);
+    loaded += Feed(i == 0 ? seed : Mutate(seed, counts, &rng)).ok();
+  }
+  EXPECT_GT(loaded, 0);
+}
+
+// --- 7. Artifacts for the stats_fsck ctest step ---------------------------
 
 // Leaves a clean, representative durability directory (snapshot rotation
 // + live journal records) in the working directory; the `stats_fsck_scan`

@@ -187,9 +187,10 @@ TEST_F(EnumeratorTest, EightTableChainFinishesQuickly) {
   Database db;
   std::vector<TableId> tables;
   for (int t = 0; t < 8; ++t) {
-    tables.push_back(db.AddTable(
-        Schema("t" + std::to_string(t), {{"a", ValueType::kInt64},
-                                         {"b", ValueType::kInt64}})));
+    std::string name = "t";
+    name += std::to_string(t);
+    tables.push_back(db.AddTable(Schema(
+        name, {{"a", ValueType::kInt64}, {"b", ValueType::kInt64}})));
     for (int i = 0; i < 100; ++i) {
       db.mutable_table(tables.back())
           .AppendRow({Datum(int64_t{i}), Datum(int64_t{i % 10})});

@@ -2,9 +2,9 @@
 // persistence, the execution-tree MNSA variant, and the periodic offline
 // policy.
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -14,7 +14,7 @@
 #include "core/mnsa.h"
 #include "stats/endbiased.h"
 #include "stats/equidepth.h"
-#include "stats/persistence.h"
+#include "stats/durability.h"
 #include "tests/test_util.h"
 
 namespace autostats {
@@ -92,7 +92,7 @@ class PersistenceTest : public ::testing::Test {
       : t_(testing::MakeTwoTableDb(1000, 50)),
         catalog_(&t_.db),
         path_(std::filesystem::temp_directory_path() /
-              "autostats_catalog_test.txt") {}
+              "autostats_catalog_test.catalog") {}
   ~PersistenceTest() override {
     std::filesystem::remove(path_);
   }
@@ -189,33 +189,14 @@ TEST_F(PersistenceTest, EmptyCatalogRoundTrips) {
   EXPECT_EQ(restored.num_active(), 0u);
 }
 
-namespace {
-
-// Reads `path`, applies `edit` to each line, writes it back.
-void RewriteLines(const std::string& path,
-                  const std::function<void(std::string*)>& edit) {
-  std::ifstream in(path);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  in.close();
-  std::ofstream out(path, std::ios::trunc);
-  for (std::string& l : lines) {
-    edit(&l);
-    out << l << "\n";
-  }
-}
-
-}  // namespace
-
 TEST_F(PersistenceTest, ReloadFencesEntriesThatHeldABase) {
-  // A freshly built statistic carries an in-memory base distribution; the
-  // text format cannot round-trip it, so the reloaded entry must come
-  // back flagged for a full rescan (merging onto a missing base would
-  // otherwise silently lose every modification the base had absorbed).
+  // A freshly built statistic carries an in-memory base distribution. It
+  // round-trips bit-exactly, but the loading process never saw the DML
+  // since the save, so the reloaded entry must come back flagged for a
+  // full rescan: a merge onto the base could miss modifications.
   catalog_.CreateStatistic({t_.fact_val});
-  ASSERT_FALSE(
-      catalog_.FindEntry(MakeStatKey({t_.fact_val}))->base_dist.empty());
+  const StatEntry saved = *catalog_.FindEntry(MakeStatKey({t_.fact_val}));
+  ASSERT_FALSE(saved.base_dist.empty());
   ASSERT_TRUE(SaveCatalog(catalog_, path_.string()).ok());
 
   StatsCatalog restored(&t_.db);
@@ -223,91 +204,85 @@ TEST_F(PersistenceTest, ReloadFencesEntriesThatHeldABase) {
   const StatEntry* entry = restored.FindEntry(MakeStatKey({t_.fact_val}));
   ASSERT_NE(entry, nullptr);
   EXPECT_TRUE(entry->pending_full_rebuild);
-  EXPECT_TRUE(entry->base_dist.empty());
+  ASSERT_EQ(entry->base_dist.size(), saved.base_dist.size());
+  EXPECT_EQ(std::memcmp(entry->base_dist.data(), saved.base_dist.data(),
+                        saved.base_dist.size() * sizeof(ValueFreq)),
+            0);  // bit-identical
 
-  // The converse: a v2 meta line declaring no base and no pending fence
-  // loads unfenced — only entries that actually lose state are fenced.
-  RewriteLines(path_.string(), [](std::string* l) {
-    if (l->rfind("meta ", 0) == 0) {
-      const size_t cut = l->find_last_of(' ', l->find_last_of(' ') - 1);
-      *l = l->substr(0, cut) + " 0 0";
-    }
-  });
+  // The converse: an entry saved with no base and no fence loads unfenced
+  // — only entries whose base could miss modifications are fenced.
+  StatEntry baseless = saved;
+  baseless.base_dist.clear();
+  catalog_.RestoreEntry(std::move(baseless));
+  ASSERT_TRUE(SaveCatalog(catalog_, path_.string()).ok());
   StatsCatalog unfenced(&t_.db);
   ASSERT_TRUE(LoadCatalog(&unfenced, path_.string()).ok());
   EXPECT_FALSE(
       unfenced.FindEntry(MakeStatKey({t_.fact_val}))->pending_full_rebuild);
 }
 
-TEST_F(PersistenceTest, V1FilesLoadWithConservativeFencing) {
-  // A v1 file cannot say whether an entry held a base, so every entry is
-  // fenced; the explicit pending/had_base fields are v2-only and their
-  // absence must not be a parse error.
+TEST_F(PersistenceTest, TruncatedFileIsAllOrNothing) {
   catalog_.CreateStatistic({t_.fact_val});
   catalog_.CreateStatistic({t_.dim_pk});
   ASSERT_TRUE(SaveCatalog(catalog_, path_.string()).ok());
-  RewriteLines(path_.string(), [](std::string* l) {
-    if (*l == "autostats-catalog v2") *l = "autostats-catalog v1";
-    if (l->rfind("meta ", 0) == 0) {
-      const size_t cut = l->find_last_of(' ', l->find_last_of(' ') - 1);
-      *l = l->substr(0, cut);
-    }
-  });
-  StatsCatalog restored(&t_.db);
-  ASSERT_TRUE(LoadCatalog(&restored, path_.string()).ok());
-  EXPECT_EQ(restored.num_active(), 2u);
-  for (const StatKey& key : restored.ActiveKeys()) {
-    EXPECT_TRUE(restored.FindEntry(key)->pending_full_rebuild) << key;
-  }
-}
-
-TEST_F(PersistenceTest, TruncatedFileIsAllOrNothingWithLineNumber) {
-  catalog_.CreateStatistic({t_.fact_val});
-  catalog_.CreateStatistic({t_.dim_pk});
-  ASSERT_TRUE(SaveCatalog(catalog_, path_.string()).ok());
-
-  // Chop the file mid-way through the second section.
-  std::ifstream in(path_);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  in.close();
-  const size_t keep = lines.size() - 3;
-  std::ofstream out(path_, std::ios::trunc);
-  for (size_t i = 0; i < keep; ++i) out << lines[i] << "\n";
-  out.close();
+  // Chop the file mid-way through the second entry.
+  std::filesystem::resize_file(path_, std::filesystem::file_size(path_) - 40);
 
   // The target catalog already holds state; a failed load must not touch
-  // it — not even with the first section, which parsed fine.
+  // it.
   StatsCatalog restored(&t_.db);
   restored.CreateStatistic({t_.fact_grp});
   const uint64_t version_before = restored.stats_version();
   const Status s = LoadCatalog(&restored, path_.string());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  // The error names the file and the line past the truncation point.
-  EXPECT_NE(s.message().find(path_.string() + ":" +
-                             std::to_string(keep + 1)),
-            std::string::npos)
+  EXPECT_NE(s.message().find(path_.string()), std::string::npos)
       << s.message();
-  EXPECT_NE(s.message().find("truncated"), std::string::npos) << s.message();
   EXPECT_EQ(restored.num_active(), 1u);
   EXPECT_FALSE(restored.HasActive(MakeStatKey({t_.fact_val})));
   EXPECT_EQ(restored.stats_version(), version_before);
 }
 
-TEST_F(PersistenceTest, GarbledFieldReportsFileLineAndField) {
+TEST_F(PersistenceTest, FlippedPayloadByteIsRejectedWithPath) {
   catalog_.CreateStatistic({t_.fact_val});
   ASSERT_TRUE(SaveCatalog(catalog_, path_.string()).ok());
-  RewriteLines(path_.string(), [](std::string* l) {
-    if (l->rfind("rows_at_build ", 0) == 0) *l = "rows_at_build banana";
-  });
+  {
+    // A zero byte of the payload's stats_version (past the 8-byte file
+    // magic and the 12-byte frame header).
+    std::fstream f(path_, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(40);
+    f.put('\x5A');
+  }
   StatsCatalog restored(&t_.db);
+  restored.CreateStatistic({t_.fact_grp});
+  const uint64_t version_before = restored.stats_version();
   const Status s = LoadCatalog(&restored, path_.string());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(s.message().find(path_.string() + ":"), std::string::npos)
+  EXPECT_NE(s.message().find(path_.string()), std::string::npos)
       << s.message();
-  EXPECT_NE(s.message().find("rows"), std::string::npos) << s.message();
-  EXPECT_EQ(restored.num_active(), 0u);
+  EXPECT_EQ(restored.num_active(), 1u);
+  EXPECT_EQ(restored.stats_version(), version_before);
+}
+
+TEST_F(PersistenceTest, ColumnsOutsideTheDatabaseAreRejected) {
+  // Installed, a statistic on a column the database lacks would abort the
+  // first Statistic::Name or rebuild. The target has one table of one
+  // column: a saved dim.pk names a missing table, fact.flag a missing
+  // column of an existing one.
+  Database narrow;
+  narrow.AddTable(Schema("fact", {{"fk", ValueType::kInt64}}));
+  StatsCatalog target(&narrow);
+  const uint64_t version_before = target.stats_version();
+  for (const ColumnRef& column : {t_.dim_pk, t_.fact_flag}) {
+    StatsCatalog source(&t_.db);
+    source.CreateStatistic({column});
+    ASSERT_TRUE(SaveCatalog(source, path_.string()).ok());
+    const Status s = LoadCatalog(&target, path_.string());
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(s.message().find(path_.string()), std::string::npos)
+        << s.message();
+    EXPECT_EQ(target.num_active(), 0u);
+    EXPECT_EQ(target.stats_version(), version_before);
+  }
 }
 
 TEST_F(PersistenceTest, ReloadBumpsStatsVersionPerReplacedEntry) {

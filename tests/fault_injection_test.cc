@@ -17,13 +17,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "common/parallel.h"
 #include "core/auto_manager.h"
-#include "stats/persistence.h"
+#include "stats/durability.h"
 #include "stats/stats_catalog.h"
 #include "tests/test_util.h"
 
@@ -314,6 +316,37 @@ TEST_F(FaultInjectionTest, PersistenceFaultsLeaveBothSidesIntact) {
   ASSERT_TRUE(LoadCatalog(&restored, path).ok());
   EXPECT_EQ(SnapshotCatalog(restored), SnapshotCatalog(catalog));
   std::remove(path.c_str());
+}
+
+TEST_F(FaultInjectionTest, SaveKilledAtRenameKeepsThePreviousFile) {
+  // SaveCatalog publishes through tmp + fsync + rename, so a kill before
+  // the rename leaves the previous file whole and loadable.
+  TwoTableDb t = MakeTwoTableDb(2000, 50);
+  StatsCatalog catalog(&t.db);
+  ASSERT_TRUE(catalog.TryCreateStatistic({t.fact_val}).ok());
+  const std::string path =
+      ::testing::TempDir() + "fault_injection_killed_save.catalog";
+  const auto read_file = [&path] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  ASSERT_TRUE(SaveCatalog(catalog, path).ok());
+  const std::string before = read_file();
+
+  ASSERT_TRUE(catalog.TryCreateStatistic({t.fact_fk}).ok());
+  FaultSchedule kill;
+  kill.torn_write_bytes = 0;
+  FaultInjector::Instance().Arm(faults::kPersistenceRename, kill);
+  EXPECT_FALSE(SaveCatalog(catalog, path).ok());
+  FaultInjector::Instance().Reset();
+
+  EXPECT_EQ(read_file(), before);
+  StatsCatalog restored(&t.db);
+  ASSERT_TRUE(LoadCatalog(&restored, path).ok());
+  EXPECT_EQ(restored.num_active(), 1u);
+  EXPECT_TRUE(restored.HasActive(MakeStatKey({t.fact_val})));
+  std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
 }
 
 // --- Latency spikes: counted but harmless ---

@@ -19,12 +19,13 @@
 //     the delta without it, rescans once instead of merging modifications
 //     its base already includes (or misses); bases that stayed exact
 //     through a partially-failed round keep merging.
-//  7. Persistence: a catalog reloaded from the text format comes back
-//     fenced (in-memory bases do not survive the round trip), so the
-//     first triggered refresh rescans and later ones merge — both exact.
+//  7. Persistence: a catalog reloaded from a catalog file comes back
+//     fenced (its exact bases missed the DML since the save), so the first
+//     triggered refresh rescans and later ones merge — both exact.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -34,7 +35,7 @@
 #include "executor/dml_exec.h"
 #include "stats/builder.h"
 #include "stats/delta_sketch.h"
-#include "stats/persistence.h"
+#include "stats/durability.h"
 #include "stats/stats_catalog.h"
 #include "tests/test_util.h"
 
@@ -448,9 +449,9 @@ TEST_F(IncrementalRefreshTest, NoOpMergeDoesNotBumpStatsVersion) {
 }
 
 TEST_F(IncrementalRefreshTest, NoOpScaleDoesNotBumpStatsVersion) {
-  // An entry without a base distribution (as restored from persistence)
-  // takes the legacy scaling path — with an unchanged row count it is
-  // also a no-op.
+  // An entry without a base distribution (as restored from a state that
+  // had none) takes the legacy scaling path — with an unchanged row count
+  // it is also a no-op.
   TwoTableDb t = MakeTwoTableDb(4000, 100);
   StatsCatalog catalog(&t.db);
   ASSERT_TRUE(catalog.TryCreateStatistic({t.fact_val}).ok());
@@ -645,7 +646,7 @@ TEST_F(IncrementalRefreshTest, ReloadedCatalogRefreshEqualsFullRebuild) {
   TwoTableDb t = MakeTwoTableDb(4000, 100);
 
   // First life: create, mutate, merge-refresh — the entry now carries a
-  // merged base distribution the text format cannot round-trip.
+  // merged base distribution.
   StatsCatalog catalog(&t.db);
   ASSERT_TRUE(catalog.TryCreateStatistic({t.fact_val}).ok());
   Result<size_t> applied =
@@ -653,19 +654,23 @@ TEST_F(IncrementalRefreshTest, ReloadedCatalogRefreshEqualsFullRebuild) {
   ASSERT_TRUE(applied.ok());
   catalog.RecordModifications(t.fact, *applied);
   EXPECT_GT(catalog.RefreshIfTriggered(MergeAlways()), 0.0);
-  ASSERT_FALSE(
-      catalog.FindEntry(MakeStatKey({t.fact_val}))->base_dist.empty());
+  const std::vector<ValueFreq> saved_base =
+      catalog.FindEntry(MakeStatKey({t.fact_val}))->base_dist;
+  ASSERT_FALSE(saved_base.empty());
   ASSERT_TRUE(SaveCatalog(catalog, path).ok());
 
-  // Second life: the reload drops the base, so the entry must come back
-  // fenced — a merge here would be against a base the catalog no longer
-  // has (or worse, a wrong one).
+  // Second life: the base comes back bit-exact, but the entry must come
+  // back fenced — this process's DeltaStore never saw the DML since the
+  // save, so a merge onto the base could miss modifications.
   StatsCatalog reloaded(&t.db);
   ASSERT_TRUE(LoadCatalog(&reloaded, path).ok());
   const StatEntry* entry = reloaded.FindEntry(MakeStatKey({t.fact_val}));
   ASSERT_NE(entry, nullptr);
   EXPECT_TRUE(entry->pending_full_rebuild);
-  EXPECT_TRUE(entry->base_dist.empty());
+  ASSERT_EQ(entry->base_dist.size(), saved_base.size());
+  EXPECT_EQ(std::memcmp(entry->base_dist.data(), saved_base.data(),
+                        saved_base.size() * sizeof(ValueFreq)),
+            0);  // bit-identical
 
   // Mixed DML against the reloaded catalog, then a triggered refresh: the
   // fence forces a rescan, which is exact by construction and re-arms the

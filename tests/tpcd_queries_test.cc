@@ -95,7 +95,9 @@ TEST_P(TpcdShapeTest, MnsaBoundedAndPlanStable) {
 INSTANTIATE_TEST_SUITE_P(AllQueries, TpcdShapeTest,
                          ::testing::ValuesIn(kShapes),
                          [](const ::testing::TestParamInfo<Shape>& info) {
-                           return "Q" + std::to_string(info.param.number);
+                           std::string name = "Q";
+                           name += std::to_string(info.param.number);
+                           return name;
                          });
 
 TEST(TpcdQueryContentTest, DateFiltersInsideGeneratedDomain) {
