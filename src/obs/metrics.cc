@@ -118,7 +118,7 @@ std::vector<double> LinearBounds(double start, double step, int count) {
 }
 
 const std::vector<double>& LatencyBoundsUs() {
-  static const std::vector<double> kBounds = ExponentialBounds(1.0, 2.0, 17);
+  static const std::vector<double> kBounds = ExponentialBounds(1.0, 2.0, 27);
   return kBounds;
 }
 

@@ -119,7 +119,9 @@ std::vector<double> ExponentialBounds(double start, double factor, int count);
 std::vector<double> LinearBounds(double start, double step, int count);
 
 // Standard edges used by every latency histogram in the catalog:
-// 1us .. ~65ms in x2 steps (17 edges), +inf tail.
+// 1us .. ~67s in x2 steps (27 edges), +inf tail. Saturated server
+// queues wait hundreds of milliseconds, so the top edge sits past a
+// minute.
 const std::vector<double>& LatencyBoundsUs();
 
 // Standard edges for optimizer cost-unit histograms: 1 .. ~1e6 in x4

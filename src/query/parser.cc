@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <system_error>
 #include <vector>
 
 #include "common/str_util.h"
@@ -43,7 +45,9 @@ class Lexer {
                  (c == '-' && pos_ + 1 < input_.size() &&
                   std::isdigit(static_cast<unsigned char>(
                       input_[pos_ + 1])))) {
-        out.push_back(LexNumber());
+        Result<Token> tok = LexNumber();
+        if (!tok.ok()) return tok.status();
+        out.push_back(*tok);
       } else if (c == '\'') {
         Result<Token> tok = LexString();
         if (!tok.ok()) return tok.status();
@@ -86,7 +90,7 @@ class Lexer {
     return t;
   }
 
-  Token LexNumber() {
+  Result<Token> LexNumber() {
     const size_t start = pos_;
     if (input_[pos_] == '-') ++pos_;
     bool has_dot = false;
@@ -103,12 +107,17 @@ class Lexer {
     }
     Token t;
     t.raw = input_.substr(start, pos_ - start);
+    const char* end = t.raw.data() + t.raw.size();
+    std::from_chars_result r;
     if (has_dot) {
       t.kind = TokenKind::kDouble;
-      t.double_value = std::stod(t.raw);
+      r = std::from_chars(t.raw.data(), end, t.double_value);
     } else {
       t.kind = TokenKind::kInteger;
-      t.int_value = std::stoll(t.raw);
+      r = std::from_chars(t.raw.data(), end, t.int_value);
+    }
+    if (r.ec != std::errc() || r.ptr != end) {
+      return Status::InvalidArgument("numeric literal out of range: " + t.raw);
     }
     return t;
   }

@@ -1,7 +1,10 @@
 #include "query/workload_io.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <system_error>
+#include <vector>
 
 #include "common/str_util.h"
 #include "query/parser.h"
@@ -31,29 +34,50 @@ std::string DmlToLine(const Database& db, const DmlStatement& d) {
   return "";
 }
 
+// An unsigned decimal that fits `T`: digits only (from_chars takes no
+// sign for an unsigned type), the whole token, no overflow.
+template <typename T>
+bool ParseUnsigned(const std::string& tok, T* out) {
+  const char* end = tok.data() + tok.size();
+  const std::from_chars_result r = std::from_chars(tok.data(), end, *out);
+  return r.ec == std::errc() && r.ptr == end;
+}
+
 Result<Statement> ParseDmlLine(const Database& db, const std::string& line) {
   std::istringstream ss(line);
-  std::string kw1;
-  ss >> kw1;
+  std::vector<std::string> tok;
+  for (std::string word; ss >> word;) tok.push_back(word);
+  auto malformed = [&line] {
+    return Status::InvalidArgument("malformed DML line: " + line);
+  };
+  // INSERT INTO <t> ROWS <n> SEED <s>
+  // UPDATE <t> SET <c> ROWS <n> SEED <s>
+  // DELETE FROM <t> ROWS <n> SEED <s>
   DmlStatement d;
   std::string table_name;
   std::string column_name;
-  std::string tok;
-  if (kw1 == "INSERT") {
+  size_t rows_at = 0;
+  if (tok.size() == 7 && tok[0] == "INSERT" && tok[1] == "INTO") {
     d.kind = DmlKind::kInsert;
-    ss >> tok;  // INTO
-    if (tok != "INTO") return Status::InvalidArgument("expected INTO");
-    ss >> table_name;
-  } else if (kw1 == "UPDATE") {
+    table_name = tok[2];
+    rows_at = 3;
+  } else if (tok.size() == 8 && tok[0] == "UPDATE" && tok[2] == "SET") {
     d.kind = DmlKind::kUpdate;
-    ss >> table_name >> tok;  // SET
-    if (tok != "SET") return Status::InvalidArgument("expected SET");
-    ss >> column_name;
-  } else {  // DELETE
+    table_name = tok[1];
+    column_name = tok[3];
+    rows_at = 4;
+  } else if (tok.size() == 7 && tok[0] == "DELETE" && tok[1] == "FROM") {
     d.kind = DmlKind::kDelete;
-    ss >> tok;  // FROM
-    if (tok != "FROM") return Status::InvalidArgument("expected FROM");
-    ss >> table_name;
+    table_name = tok[2];
+    rows_at = 3;
+  } else {
+    return malformed();
+  }
+  if (tok[rows_at] != "ROWS" ||
+      !ParseUnsigned(tok[rows_at + 1], &d.row_count) ||
+      tok[rows_at + 2] != "SEED" ||
+      !ParseUnsigned(tok[rows_at + 3], &d.seed)) {
+    return malformed();
   }
   d.table = db.FindTable(table_name);
   if (d.table == kInvalidTableId) {
@@ -65,13 +89,6 @@ Result<Statement> ParseDmlLine(const Database& db, const std::string& line) {
       return Status::NotFound("unknown column: " + column_name);
     }
   }
-  ss >> tok;
-  if (tok != "ROWS") return Status::InvalidArgument("expected ROWS");
-  ss >> d.row_count;
-  ss >> tok;
-  if (tok != "SEED") return Status::InvalidArgument("expected SEED");
-  ss >> d.seed;
-  if (!ss) return Status::InvalidArgument("malformed DML line: " + line);
   return Statement::MakeDml(d);
 }
 

@@ -12,8 +12,8 @@ namespace autostats {
 
 namespace {
 
-// All four thread scopes a worker (or a lifecycle op, or a drain flush)
-// holds while touching one tenant's state, as a single stack object.
+// All four thread scopes a worker (or a lifecycle op, or a flush) holds
+// while touching one tenant's state, as a single stack object.
 struct TenantScopes {
   explicit TenantScopes(const std::string& name, obs::TraceSink* sink)
       : metrics_label(name),
@@ -26,18 +26,27 @@ struct TenantScopes {
   ParallelInlineScope inline_probes;
 };
 
-constexpr size_t kNoMember = static_cast<size_t>(-1);
-
 // server.tenant_state gauge values (docs/ARCHITECTURE.md §16).
 constexpr double kGaugeHealthy = 0.0;
 constexpr double kGaugeDegraded = 1.0;
 constexpr double kGaugeProbing = 2.0;
 constexpr double kGaugeRemoved = 3.0;
 
+bool WallSpans() {
+  return obs::SpansEnabled() &&
+         obs::CurrentSpanMode() == obs::SpanMode::kWall;
+}
+
 }  // namespace
 
 AutoStatsServer::AutoStatsServer(ServerOptions options)
-    : options_(options) {
+    : options_(options),
+      coordinator_(options_.fsync_budget_per_sec > 0.0
+                       ? std::make_unique<FsyncCoordinator>(
+                             FsyncCoordinator::Options{
+                                 options_.fsync_budget_per_sec,
+                                 options_.fsync_max_coalesce_us})
+                       : nullptr) {
   resolved_workers_ =
       options_.num_workers > 0 ? options_.num_workers : NumThreads();
   if (resolved_workers_ < 1) resolved_workers_ = 1;
@@ -54,22 +63,16 @@ AutoStatsServer::AutoStatsServer(ServerOptions options)
   breaker_recoveries_ = reg.GetCounter("server.breaker_recoveries");
 }
 
-AutoStatsServer::~AutoStatsServer() {
-  Stop();
-  // Tenants outlive the workers and coordinators that reference them
-  // (Stop joined both); chunks only ever grow, so the count is final.
-  const size_t n = tenant_count_.load(std::memory_order_acquire);
-  for (size_t i = 0; i < n; ++i) {
-    delete chunks_[i / kTenantChunkSize]->slots[i % kTenantChunkSize];
-  }
+AutoStatsServer::~AutoStatsServer() { Stop(); }
+
+AutoStatsServer::Tenant* AutoStatsServer::FindTenantLocked(
+    size_t tenant) const {
+  return tenant < tenants_.size() ? tenants_[tenant].get() : nullptr;
 }
 
 AutoStatsServer::Tenant* AutoStatsServer::FindTenant(size_t tenant) const {
-  // The release store in AddTenant publishes the chunk slot before the
-  // count covers it, so an index below the acquired count always reads a
-  // fully built tenant without a registry lock.
-  if (tenant >= tenant_count_.load(std::memory_order_acquire)) return nullptr;
-  return chunks_[tenant / kTenantChunkSize]->slots[tenant % kTenantChunkSize];
+  std::lock_guard<std::mutex> lock(mu_);
+  return FindTenantLocked(tenant);
 }
 
 AutoStatsServer::Tenant* AutoStatsServer::FindTenantOrDie(
@@ -82,143 +85,134 @@ AutoStatsServer::Tenant* AutoStatsServer::FindTenantOrDie(
 size_t AutoStatsServer::AddTenant(const TenantConfig& config) {
   AUTOSTATS_CHECK(config.db != nullptr && !config.name.empty());
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
-  const size_t index = tenant_count_.load(std::memory_order_acquire);
-  AUTOSTATS_CHECK(index < kTenantChunkSize * kMaxTenantChunks);
-  for (size_t i = 0; i < index; ++i) {
-    AUTOSTATS_CHECK(FindTenant(i)->name != config.name);
+  auto t = std::make_unique<Tenant>();
+  {
+    // Only AddTenant grows the registry, and lifecycle_mu_ serializes it:
+    // the index read here is still the next one when the tenant is
+    // published below.
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const std::unique_ptr<Tenant>& other : tenants_) {
+      AUTOSTATS_CHECK(other->name != config.name);
+    }
+    t->index = tenants_.size();
   }
-
-  Tenant* t = new Tenant();
-  t->index = index;
   t->name = config.name;
   t->db = config.db;
   t->config = config;
   // Per-tenant jitter stream: fixed server seed + fixed index = a fixed
   // probe schedule, independent of sibling traffic.
   t->rng = Rng(options_.breaker_seed ^
-               (0x9E3779B97F4A7C15ull * static_cast<uint64_t>(index + 1)));
-  t->catalog = std::make_unique<StatsCatalog>(config.db);
-  t->optimizer = std::make_unique<Optimizer>(config.db);
-  ManagerPolicy policy = config.policy;
-  policy.num_threads = 0;  // probes run inline; never re-enter the pool
-  t->manager = std::make_unique<AutoStatsManager>(
-      config.db, t->catalog.get(), t->optimizer.get(), std::move(policy));
+               (0x9E3779B97F4A7C15ull * static_cast<uint64_t>(t->index + 1)));
   t->report.label = t->name + "/" + CreationModeName(config.policy.mode);
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Instance();
   t->rejected_counter = reg.GetCounter(t->name + "/server.rejected_total");
   t->state_gauge = reg.GetGauge(t->name + "/server.tenant_state");
-  t->spans.set_capacity(options_.span_ring_capacity);
-  if (options_.flight_ring_capacity > 0) {
-    // Attach before any traffic: the recorder shadows every trace event
-    // (enabled or not) without changing the trace bytes themselves.
-    t->flight.set_capacity(options_.flight_ring_capacity);
-    t->trace.set_flight_recorder(&t->flight);
-  }
-
-  if (!config.durability_dir.empty()) {
-    // Recovery replays the tenant's journal into its catalog: run it
-    // under the tenant's scopes so recovery trace events land in the
-    // tenant's sink and injected faults can target it.
-    TenantScopes scopes(t->name, &t->trace);
-    RecoveryInfo info;
-    Result<std::unique_ptr<CatalogDurability>> opened = CatalogDurability::
-        Open(t->catalog.get(), {.dir = config.durability_dir}, &info);
-    if (opened.ok()) {
-      t->durability = std::move(*opened);
-      t->manager->AttachDurability(t->durability.get());
-      // Statement numbering (and so a future Resume LSN) continues from
-      // what the journal already holds.
-      t->processed = info.last_lsn;
-      WireDurabilityIntoCoordinator(t);
-    } else {
-      // Fail open: the tenant serves in-memory; the failure is visible
-      // in its report.
-      ++t->report.durability_failures;
-    }
-  }
+  // Attach before any traffic: the recorder shadows every trace event
+  // (enabled or not) without changing the trace bytes themselves.
+  t->trace.set_flight_recorder(&t->flight);
+  OpenTenant(t.get());
   if (obs::MetricsEnabled()) t->state_gauge->Set(kGaugeHealthy);
-  // The slot is still private to this thread; seed the health mirror
-  // directly (no mutex needed before publication).
-  t->mirror.processed = t->processed;
-  t->mirror.durable = t->durability != nullptr;
-  t->mirror.wal_last_lsn =
-      t->durability != nullptr ? t->durability->last_committed_lsn() : 0;
 
-  // Publish: slot first, then the release store on the count that makes
-  // FindTenant admit the index.
-  const size_t chunk = index / kTenantChunkSize;
-  if (chunks_[chunk] == nullptr) {
-    chunks_[chunk] = std::make_unique<TenantChunk>();
-  }
-  chunks_[chunk]->slots[index % kTenantChunkSize] = t;
-  tenant_count_.store(index + 1, std::memory_order_release);
-  return index;
+  std::lock_guard<std::mutex> lock(mu_);
+  PublishHealthMirrorLocked(t.get());
+  tenants_.push_back(std::move(t));
+  return tenants_.size() - 1;
 }
 
-void AutoStatsServer::WireDurabilityIntoCoordinator(Tenant* t) {
-  if (options_.fsync_budget_per_sec <= 0.0 || t->durability == nullptr) {
+void AutoStatsServer::OpenTenant(Tenant* t) {
+  t->catalog = std::make_unique<StatsCatalog>(t->db);
+  t->optimizer = std::make_unique<Optimizer>(t->db);
+  ManagerPolicy policy = t->config.policy;
+  policy.num_threads = 0;  // probes run inline; never re-enter the pool
+  t->manager = std::make_unique<AutoStatsManager>(
+      t->db, t->catalog.get(), t->optimizer.get(), std::move(policy));
+  t->processed = 0;
+  ResetBreaker(t);
+  if (t->config.durability_dir.empty()) return;
+
+  // Recovery replays the tenant's journal into its catalog: run it under
+  // the tenant's scopes so recovery trace events land in the tenant's
+  // sink and injected faults can target it.
+  TenantScopes scopes(t->name, &t->trace);
+  RecoveryInfo info;
+  Result<std::unique_ptr<CatalogDurability>> opened = CatalogDurability::Open(
+      t->catalog.get(), {.dir = t->config.durability_dir}, &info);
+  if (!opened.ok()) {
+    // Fail open: the tenant serves in-memory; the failure is visible in
+    // its report.
+    std::lock_guard<std::mutex> lock(mu_);
+    ++t->report.durability_failures;
     return;
   }
-  FsyncCoordinator* coordinator = nullptr;
-  bool start_coordinator = false;
-  {
-    // Created under mu_: a sibling tenant's breaker or removal may be
-    // reading coordinator_ concurrently.
-    std::lock_guard<std::mutex> lock(mu_);
-    if (coordinator_ == nullptr) {
-      coordinator_ = std::make_unique<FsyncCoordinator>(
-          FsyncCoordinator::Options{options_.fsync_budget_per_sec,
-                                    options_.fsync_max_coalesce_us});
-      start_coordinator = started_;
-    }
-    coordinator = coordinator_.get();
-  }
-  if (start_coordinator) coordinator->Start();
+  AttachDurability(t, std::move(*opened));
+  // Statement numbering (and so a future Resume LSN) continues from what
+  // the journal already holds.
+  t->processed = info.last_lsn;
+}
 
-  if (t->coordinator_member == kNoMember) {
-    FsyncCoordinator::Member member;
-    member.name = t->name;
-    member.durability = t->durability.get();
-    member.trace = &t->trace;
-    member.spans = &t->spans;
-    const int threshold = options_.breaker_trip_threshold;
-    member.on_flush_error = [this, t, threshold](const Status&) {
-      // Coordinator thread: account the failure, feed the breaker, and
-      // request a trip the owning worker performs at its next turn (the
-      // trip itself detaches durability — a serial-point action).
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++t->report.durability_failures;
-      }
-      if (threshold > 0) {
-        const int streak =
-            t->failure_streak.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (streak >= threshold) {
-          t->trip_requested.store(true, std::memory_order_relaxed);
-        }
-      }
-    };
-    t->coordinator_member = coordinator->AddMember(std::move(member));
-  } else {
-    // Breaker recovery / reopen published a fresh writer for the same
-    // directory; re-admit the existing membership around it.
-    coordinator->ReactivateMember(t->coordinator_member,
-                                  t->durability.get());
-  }
-  const size_t id = t->coordinator_member;
+void AutoStatsServer::AttachDurability(
+    Tenant* t, std::unique_ptr<CatalogDurability> durability) {
+  t->durability = std::move(durability);
+  t->manager->AttachDurability(t->durability.get());
+  if (coordinator_ == nullptr) return;
+  FsyncCoordinator* coordinator = coordinator_.get();
+  const size_t id = t->index;
+  coordinator->Activate(id, [this, t] { FlushTenant(t, /*pass=*/true); });
   t->durability->set_fsync_deferral(
       [coordinator, id] { coordinator->RequestFsync(id); });
 }
 
+void AutoStatsServer::FlushTenant(Tenant* t, bool pass) {
+  // The callback of a pass reads t->durability without a server lock:
+  // its owner replaces or destroys the writer only after
+  // FsyncCoordinator::Deactivate has waited out every pass (TripBreaker,
+  // RemoveTenant), and arms the callback only after installing it.
+  CatalogDurability* durability = t->durability.get();
+  // Without a live writer nothing is owed: in-memory, removed, or sealed
+  // (only Resume or Open write again).
+  if (durability == nullptr || durability->crashed()) return;
+  TenantScopes scopes(t->name, &t->trace);
+  // Passes are asynchronous, so they have no logical clock: pass spans
+  // are wall-clock only and never appear in deterministic recordings.
+  const bool span = pass && WallSpans();
+  const double begin_us = span ? obs::SpanNowUs() : 0;
+  // The covered LSN comes back from under the writer's lock: during a
+  // pass the owning worker may be committing the next statement.
+  uint64_t synced_lsn = 0;
+  const Status s = durability->Flush(&synced_lsn);
+  if (s.ok()) {
+    if (span) {
+      t->spans.AppendFsyncPass({.begin = begin_us,
+                                .end = obs::SpanNowUs(),
+                                .synced_lsn = synced_lsn});
+    }
+    return;
+  }
+  // A pass whose flush sealed the writer (simulated kill) is not double
+  // counted: the tenant's next commit fails and its manager accounts it.
+  if (pass && durability->crashed()) return;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++t->report.durability_failures;
+  }
+  // A failed pass feeds the breaker and requests a trip the owning worker
+  // performs at its next batch boundary (the trip detaches durability —
+  // a serial-point action).
+  const int threshold = options_.breaker_trip_threshold;
+  if (pass && threshold > 0 &&
+      t->failure_streak.fetch_add(1, std::memory_order_relaxed) + 1 >=
+          threshold) {
+    t->trip_requested.store(true, std::memory_order_relaxed);
+  }
+}
+
 void AutoStatsServer::Start() {
-  FsyncCoordinator* coordinator = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     AUTOSTATS_CHECK(!started_);
     started_ = true;
-    coordinator = coordinator_.get();
   }
-  if (coordinator != nullptr) coordinator->Start();
+  if (coordinator_ != nullptr) coordinator_->Start();
   workers_.reserve(static_cast<size_t>(resolved_workers_));
   for (int i = 0; i < resolved_workers_; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -226,24 +220,19 @@ void AutoStatsServer::Start() {
 }
 
 Status AutoStatsServer::SubmitInternal(size_t tenant,
-                                       const Statement& statement, bool block,
-                                       int64_t deadline_slots) {
-  Tenant* t = FindTenant(tenant);
-  if (t == nullptr) {
-    return Status::NotFound("unknown tenant index " + std::to_string(tenant));
-  }
+                                       const Statement& statement,
+                                       bool block) {
   // Wall-mode span ingress stamp: taken at entry so a backpressure block
   // shows up as ingress -> enqueue, not as queue wait.
-  const double ingress_now_us =
-      (obs::SpansEnabled() &&
-       obs::CurrentSpanMode() == obs::SpanMode::kWall)
-          ? obs::SpanNowUs()
-          : 0;
+  const double ingress_now_us = WallSpans() ? obs::SpanNowUs() : 0;
   // Drain()'s wait is on the pending count: concurrent ingress would
   // re-raise it after the wait and race the per-tenant flushes.
   AUTOSTATS_DCHECK(drains_active_.load(std::memory_order_relaxed) == 0);
-  if (deadline_slots <= 0) deadline_slots = options_.default_deadline_slots;
   std::unique_lock<std::mutex> lock(mu_);
+  Tenant* t = FindTenantLocked(tenant);
+  if (t == nullptr) {
+    return Status::NotFound("unknown tenant index " + std::to_string(tenant));
+  }
   for (;;) {
     if (stopping_) {
       return Status::Unavailable("server stopped");
@@ -265,16 +254,6 @@ Status AutoStatsServer::SubmitInternal(size_t tenant,
       if (obs::MetricsEnabled()) shed_total_->Add();
       return Status::Unavailable("tenant " + t->name +
                                  " quarantined: parked buffer full");
-    }
-    if (deadline_slots > 0 &&
-        t->queue.size() >= static_cast<size_t>(deadline_slots)) {
-      // Logical deadline: the statement would wait behind at least
-      // deadline_slots others — shed it instead of blocking the caller.
-      ++t->shed;
-      if (obs::MetricsEnabled()) shed_total_->Add();
-      return Status::Unavailable("deadline exceeded: tenant " + t->name +
-                                 " queue depth " +
-                                 std::to_string(t->queue.size()));
     }
     if (t->queue.size() < options_.max_queue_depth) break;
     if (!block) {
@@ -322,14 +301,12 @@ Status AutoStatsServer::SubmitInternal(size_t tenant,
   return Status::OK();
 }
 
-Status AutoStatsServer::Submit(size_t tenant, const Statement& statement,
-                               int64_t deadline_slots) {
-  return SubmitInternal(tenant, statement, /*block=*/true, deadline_slots);
+Status AutoStatsServer::Submit(size_t tenant, const Statement& statement) {
+  return SubmitInternal(tenant, statement, /*block=*/true);
 }
 
-Status AutoStatsServer::TrySubmit(size_t tenant, const Statement& statement,
-                                  int64_t deadline_slots) {
-  return SubmitInternal(tenant, statement, /*block=*/false, deadline_slots);
+Status AutoStatsServer::TrySubmit(size_t tenant, const Statement& statement) {
+  return SubmitInternal(tenant, statement, /*block=*/false);
 }
 
 void AutoStatsServer::WorkerLoop() {
@@ -348,13 +325,54 @@ void AutoStatsServer::WorkerLoop() {
   }
 }
 
+AutoStatsManager::Outcome AutoStatsServer::ApplyStatement(
+    Tenant* t, const QueuedStatement& qs, double pickup_us, bool replay) {
+  const bool spans_on = obs::SpansEnabled();
+  const bool spans_wall =
+      spans_on && obs::CurrentSpanMode() == obs::SpanMode::kWall;
+  obs::SpanScratch scratch;
+  const double apply_begin_us = spans_wall ? obs::SpanNowUs() : 0;
+  AutoStatsManager::Outcome outcome;
+  {
+    // The WAL layer reports its append/fsync sub-segments through the
+    // thread-local scratch (obs/span.h) while Process runs.
+    obs::ScopedSpanScratch span_scope(spans_on ? &scratch : nullptr);
+    outcome = t->manager->Process(qs.stmt);
+  }
+  ++t->processed;
+  if (spans_on) {
+    obs::StatementSpan span;
+    span.stmt = t->processed;
+    span.ingress_seq = qs.ingress_seq;
+    span.query = qs.stmt.kind == Statement::Kind::kQuery;
+    span.replay = replay;
+    span.ingress = qs.ingress;
+    span.enqueue = qs.enqueue;
+    if (spans_wall) {
+      span.pickup = pickup_us;
+      span.apply_begin = apply_begin_us;
+      span.apply_end = obs::SpanNowUs();
+    } else {
+      // Logical: pickup/apply carry the processed count (== catalog
+      // tick == WAL LSN) — a pure function of the tenant's stream.
+      span.pickup = static_cast<double>(t->processed);
+      span.apply_begin = span.pickup;
+      span.apply_end = span.pickup;
+    }
+    span.wal_append_us = scratch.wal_append_us;
+    span.fsync_us = scratch.fsync_us;
+    span.fsync_deferred = scratch.fsync_deferred;
+    t->spans.Append(span);
+  }
+  if (options_.post_statement_hook) options_.post_statement_hook(t->index);
+  return outcome;
+}
+
 void AutoStatsServer::RunTenantBatch(Tenant* t) {
   std::vector<QueuedStatement> batch;
   bool tripped_pending = false;
   bool probe_due_now = false;
   const bool spans_on = obs::SpansEnabled();
-  const bool spans_wall =
-      spans_on && obs::CurrentSpanMode() == obs::SpanMode::kWall;
   {
     std::lock_guard<std::mutex> lock(mu_);
     // Breaker housekeeping happens at the batch boundary — the tenant's
@@ -375,7 +393,7 @@ void AutoStatsServer::RunTenantBatch(Tenant* t) {
   space_cv_.notify_all();
   // Wall-mode pickup stamp: the whole batch left the queue together.
   // (Logical mode stamps pickup per statement with the processed count.)
-  const double batch_pickup_us = spans_wall ? obs::SpanNowUs() : 0;
+  const double batch_pickup_us = WallSpans() ? obs::SpanNowUs() : 0;
 
   if (tripped_pending) {
     TenantScopes scopes(t->name, &t->trace);
@@ -431,7 +449,6 @@ void AutoStatsServer::RunTenantBatch(Tenant* t) {
   {
     TenantScopes scopes(t->name, &t->trace);
     for (QueuedStatement& qs : batch) {
-      Statement& statement = qs.stmt;
       if (degraded) {
         // Logical probe clock: once enough statements were served
         // degraded, run a half-open probe right here in the tenant's
@@ -453,39 +470,8 @@ void AutoStatsServer::RunTenantBatch(Tenant* t) {
           continue;
         }
       }
-      obs::SpanScratch scratch;
-      const double apply_begin_us = spans_wall ? obs::SpanNowUs() : 0;
-      AutoStatsManager::Outcome outcome;
-      {
-        // The WAL layer reports its append/fsync sub-segments through the
-        // thread-local scratch (obs/span.h) while Process runs.
-        obs::ScopedSpanScratch span_scope(spans_on ? &scratch : nullptr);
-        outcome = t->manager->Process(statement);
-      }
-      ++t->processed;
-      if (spans_on) {
-        obs::StatementSpan span;
-        span.stmt = t->processed;
-        span.ingress_seq = qs.ingress_seq;
-        span.query = statement.kind == Statement::Kind::kQuery;
-        span.ingress = qs.ingress;
-        span.enqueue = qs.enqueue;
-        if (spans_wall) {
-          span.pickup = batch_pickup_us;
-          span.apply_begin = apply_begin_us;
-          span.apply_end = obs::SpanNowUs();
-        } else {
-          // Logical: pickup/apply carry the processed count (== catalog
-          // tick == WAL LSN) — a pure function of the tenant's stream.
-          span.pickup = static_cast<double>(t->processed);
-          span.apply_begin = span.pickup;
-          span.apply_end = span.pickup;
-        }
-        span.wal_append_us = scratch.wal_append_us;
-        span.fsync_us = scratch.fsync_us;
-        span.fsync_deferred = scratch.fsync_deferred;
-        t->spans.Append(span);
-      }
+      const AutoStatsManager::Outcome outcome =
+          ApplyStatement(t, qs, batch_pickup_us, /*replay=*/false);
       AutoStatsManager::Accumulate(outcome, &local);
       if (obs::MetricsEnabled()) {
         const auto elapsed = std::chrono::steady_clock::now() - qs.enqueued;
@@ -495,7 +481,6 @@ void AutoStatsServer::RunTenantBatch(Tenant* t) {
                 .count());
         statements_total_->Add();
       }
-      if (options_.post_statement_hook) options_.post_statement_hook(t->index);
       if (threshold > 0) {
         // Feed the breaker: a sealed WAL (simulated kill) trips at once;
         // durability-commit and build failures trip on a streak.
@@ -551,6 +536,15 @@ int64_t AutoStatsServer::ProbeBackoff(Tenant* t) {
   return delay;
 }
 
+void AutoStatsServer::ResetBreaker(Tenant* t) {
+  t->failure_streak.store(0, std::memory_order_relaxed);
+  t->trip_requested.store(false, std::memory_order_relaxed);
+  t->probe_requested.store(false, std::memory_order_relaxed);
+  t->probe_attempts = 0;
+  t->degraded_seen = 0;
+  t->probe_backoff = 0;
+}
+
 void AutoStatsServer::TripBreaker(Tenant* t, const char* cause) {
   if (t->durability != nullptr) {
     // Quarantine the WAL exactly where it is: no further appends, no
@@ -558,21 +552,13 @@ void AutoStatsServer::TripBreaker(Tenant* t, const char* cause) {
     // recovery with a full snapshot of the live catalog.
     t->durability->Seal();
     t->manager->AttachDurability(nullptr);
-    if (t->coordinator_member != kNoMember) {
-      FsyncCoordinator* coordinator = nullptr;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        coordinator = coordinator_.get();
-      }
-      // Blocks out any in-flight pass; must not hold mu_ here (the pass's
-      // error callback takes it).
-      coordinator->DeactivateMember(t->coordinator_member);
-    }
+    // Blocks out any in-flight pass; must not hold mu_ here (a failed
+    // pass's flush takes it).
+    if (coordinator_ != nullptr) coordinator_->Deactivate(t->index);
   }
-  t->failure_streak.store(0, std::memory_order_relaxed);
-  t->trip_requested.store(false, std::memory_order_relaxed);
-  t->probe_attempts = 0;
-  t->degraded_seen = 0;
+  // After the deactivation: a pass that failed meanwhile may have fed
+  // the streak and requested this very trip.
+  ResetBreaker(t);
   t->probe_backoff = ProbeBackoff(t);
   int64_t trips = 0;
   {
@@ -613,41 +599,27 @@ bool AutoStatsServer::TryRecoverTenant(Tenant* t) {
       .Int("attempt", t->probe_attempts + 1)
       .Int("probes", probes);
 
+  // Fence BEFORE Resume so the published snapshot carries the fences:
+  // every statistic is pending_full_rebuild until the policy rebuilds it
+  // — degraded-mode staleness can never masquerade as exact. The sealed
+  // writer (deactivated at the trip) is released first; Resume opens a
+  // fresh one on the same directory. An in-memory tenant (build-failure
+  // trip) has nothing to resume, but the fences still mark everything
+  // for rebuild.
+  t->durability.reset();
+  t->catalog->FlagAllPendingFullRebuild();
   bool resumed_ok = true;
   if (!t->config.durability_dir.empty()) {
-    // Half-open probe, read side: validate that the sealed directory
-    // still replays (a torn tail is the expected crash shape).
-    const FsckReport fsck = FsckDurabilityDir(t->config.durability_dir,
-                                              {.allow_torn_tail = true});
-    // Fence BEFORE Resume so the published snapshot carries the fences:
-    // every statistic is pending_full_rebuild until the policy rebuilds
-    // it — degraded-mode staleness can never masquerade as exact.
-    t->durability.reset();
-    t->catalog->FlagAllPendingFullRebuild();
-    // Half-open probe, write side: Resume publishes a full snapshot and
-    // fresh journal through the same fault-gated path as any checkpoint.
-    // A still-failing disk fails here, and the tenant stays quarantined.
+    // The half-open probe: Resume publishes a full snapshot of the live
+    // catalog and a fresh journal, superseding the sealed one, through
+    // the same fault-gated path as any checkpoint. A still-failing disk
+    // fails here, and the tenant stays quarantined.
     Result<std::unique_ptr<CatalogDurability>> resumed =
         CatalogDurability::Resume(t->catalog.get(),
                                   {.dir = t->config.durability_dir},
                                   t->processed);
-    if (resumed.ok()) {
-      t->durability = std::move(*resumed);
-      t->manager->AttachDurability(t->durability.get());
-      WireDurabilityIntoCoordinator(t);
-    } else {
-      resumed_ok = false;
-    }
-    if (!fsck.ok) {
-      obs::TraceEvent("tenant.lifecycle")
-          .Str("event", "breaker_probe_fsck")
-          .Bool("wal_ok", false)
-          .Int("findings", static_cast<int64_t>(fsck.findings.size()));
-    }
-  } else {
-    // In-memory tenant (build-failure trip): nothing durable to probe,
-    // but the fences still mark everything for rebuild.
-    t->catalog->FlagAllPendingFullRebuild();
+    resumed_ok = resumed.ok();
+    if (resumed_ok) AttachDurability(t, std::move(*resumed));
   }
 
   if (!resumed_ok) {
@@ -674,63 +646,31 @@ bool AutoStatsServer::TryRecoverTenant(Tenant* t) {
     std::lock_guard<std::mutex> lock(mu_);
     parked.swap(t->parked);
   }
-  const bool spans_on = obs::SpansEnabled();
-  const bool spans_wall =
-      spans_on && obs::CurrentSpanMode() == obs::SpanMode::kWall;
+  // Wall-mode pickup stamp: the parked statements left their buffer
+  // together, like a batch leaving the queue.
+  const double pickup_us = WallSpans() ? obs::SpanNowUs() : 0;
   RunReport replay;
   int64_t replayed_queries = 0;
   int64_t replayed_dml = 0;
   for (const QueuedStatement& qs : parked) {
-    obs::SpanScratch scratch;
-    const double apply_begin_us = spans_wall ? obs::SpanNowUs() : 0;
-    AutoStatsManager::Outcome outcome;
-    {
-      obs::ScopedSpanScratch span_scope(spans_on ? &scratch : nullptr);
-      outcome = t->manager->Process(qs.stmt);
-    }
-    ++t->processed;
-    if (spans_on) {
-      // Replay span: the parked statement finally reaches apply. The
-      // park record (degraded=true) already told the admission story, so
-      // this one carries the apply/WAL segments under the original
-      // ingress identity.
-      obs::StatementSpan span;
-      span.stmt = t->processed;
-      span.ingress_seq = qs.ingress_seq;
-      span.query = outcome.was_query;
-      span.replay = true;
-      span.ingress = qs.ingress;
-      span.enqueue = qs.enqueue;
-      if (spans_wall) {
-        span.pickup = apply_begin_us;
-        span.apply_begin = apply_begin_us;
-        span.apply_end = obs::SpanNowUs();
-      } else {
-        span.pickup = static_cast<double>(t->processed);
-        span.apply_begin = span.pickup;
-        span.apply_end = span.pickup;
-      }
-      span.wal_append_us = scratch.wal_append_us;
-      span.fsync_us = scratch.fsync_us;
-      span.fsync_deferred = scratch.fsync_deferred;
-      t->spans.Append(span);
-    }
+    // Replay span: the park record (degraded=true) already told the
+    // admission story, so this one carries the apply/WAL segments under
+    // the original ingress identity.
+    const AutoStatsManager::Outcome outcome =
+        ApplyStatement(t, qs, pickup_us, /*replay=*/true);
     if (outcome.was_query) {
       ++replayed_queries;
     } else {
       ++replayed_dml;
     }
     AutoStatsManager::Accumulate(outcome, &replay);
-    if (options_.post_statement_hook) options_.post_statement_hook(t->index);
   }
   // The parked statements were already counted (as degraded) when they
   // were parked; keep the replayed work but compensate the stream counts.
   replay.num_queries -= replayed_queries;
   replay.num_dml -= replayed_dml;
 
-  t->failure_streak.store(0, std::memory_order_relaxed);
-  t->trip_requested.store(false, std::memory_order_relaxed);
-  t->probe_attempts = 0;
+  ResetBreaker(t);
   int64_t recoveries = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -752,13 +692,14 @@ bool AutoStatsServer::TryRecoverTenant(Tenant* t) {
 
 Status AutoStatsServer::RemoveTenant(size_t tenant) {
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
-  Tenant* t = FindTenant(tenant);
-  if (t == nullptr) {
-    return Status::NotFound("unknown tenant index " + std::to_string(tenant));
-  }
-  FsyncCoordinator* coordinator = nullptr;
+  Tenant* t = nullptr;
   {
     std::unique_lock<std::mutex> lock(mu_);
+    t = FindTenantLocked(tenant);
+    if (t == nullptr) {
+      return Status::NotFound("unknown tenant index " +
+                              std::to_string(tenant));
+    }
     if (t->state != TenantState::kActive) {
       return Status::FailedPrecondition("tenant " + t->name +
                                         " is not active");
@@ -773,29 +714,14 @@ Status AutoStatsServer::RemoveTenant(size_t tenant) {
       pending_ -= t->queue.size();
       t->queue.clear();
     }
-    coordinator = coordinator_.get();
   }
 
+  // Leave the coordinator first, so no later pass touches the writer that
+  // dies below; then pay any fsync still owed here, on this thread.
+  if (coordinator_ != nullptr) coordinator_->Deactivate(t->index);
+  FlushTenant(t, /*pass=*/false);
   {
     TenantScopes scopes(t->name, &t->trace);
-    // Seal the WAL: final flush through the coordinator (so a
-    // pending deferred fsync is paid, not dropped), then retire the
-    // membership so no later pass touches the dying durability object.
-    if (t->durability != nullptr && t->coordinator_member != kNoMember &&
-        coordinator != nullptr) {
-      const Status flushed = coordinator->FlushMember(t->coordinator_member);
-      if (!flushed.ok()) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++t->report.durability_failures;
-      }
-      coordinator->DeactivateMember(t->coordinator_member);
-    } else if (t->durability != nullptr && !t->durability->crashed()) {
-      const Status flushed = t->durability->Flush();
-      if (!flushed.ok()) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++t->report.durability_failures;
-      }
-    }
     obs::TraceEvent("tenant.lifecycle")
         .Str("event", "remove")
         .Int("processed", static_cast<int64_t>(t->processed))
@@ -807,12 +733,6 @@ Status AutoStatsServer::RemoveTenant(size_t tenant) {
   t->manager.reset();
   t->optimizer.reset();
   t->catalog.reset();
-  t->failure_streak.store(0, std::memory_order_relaxed);
-  t->trip_requested.store(false, std::memory_order_relaxed);
-  t->probe_requested.store(false, std::memory_order_relaxed);
-  t->probe_attempts = 0;
-  t->degraded_seen = 0;
-  t->probe_backoff = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     t->parked.clear();
@@ -826,12 +746,14 @@ Status AutoStatsServer::RemoveTenant(size_t tenant) {
 
 Status AutoStatsServer::ReopenTenant(size_t tenant) {
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
-  Tenant* t = FindTenant(tenant);
-  if (t == nullptr) {
-    return Status::NotFound("unknown tenant index " + std::to_string(tenant));
-  }
+  Tenant* t = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    t = FindTenantLocked(tenant);
+    if (t == nullptr) {
+      return Status::NotFound("unknown tenant index " +
+                              std::to_string(tenant));
+    }
     if (t->state != TenantState::kRemoved) {
       return Status::FailedPrecondition("tenant " + t->name +
                                         " is not removed");
@@ -839,40 +761,12 @@ Status AutoStatsServer::ReopenTenant(size_t tenant) {
     t->state = TenantState::kReopening;
   }
 
-  t->catalog = std::make_unique<StatsCatalog>(t->db);
-  t->optimizer = std::make_unique<Optimizer>(t->db);
-  ManagerPolicy policy = t->config.policy;
-  policy.num_threads = 0;
-  t->manager = std::make_unique<AutoStatsManager>(
-      t->db, t->catalog.get(), t->optimizer.get(), std::move(policy));
-  t->processed = 0;
-  t->probe_attempts = 0;
-  t->degraded_seen = 0;
-  t->probe_backoff = 0;
-  t->failure_streak.store(0, std::memory_order_relaxed);
-  t->trip_requested.store(false, std::memory_order_relaxed);
-  t->probe_requested.store(false, std::memory_order_relaxed);
+  OpenTenant(t);
   {
     TenantScopes scopes(t->name, &t->trace);
-    uint64_t recovered_lsn = 0;
-    if (!t->config.durability_dir.empty()) {
-      RecoveryInfo info;
-      Result<std::unique_ptr<CatalogDurability>> opened = CatalogDurability::
-          Open(t->catalog.get(), {.dir = t->config.durability_dir}, &info);
-      if (opened.ok()) {
-        t->durability = std::move(*opened);
-        t->manager->AttachDurability(t->durability.get());
-        t->processed = info.last_lsn;
-        recovered_lsn = info.last_lsn;
-        WireDurabilityIntoCoordinator(t);
-      } else {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++t->report.durability_failures;
-      }
-    }
     obs::TraceEvent("tenant.lifecycle")
         .Str("event", "reopen")
-        .Int("recovered_lsn", static_cast<int64_t>(recovered_lsn));
+        .Int("recovered_lsn", static_cast<int64_t>(t->processed));
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -885,12 +779,14 @@ Status AutoStatsServer::ReopenTenant(size_t tenant) {
 }
 
 Status AutoStatsServer::ProbeTenant(size_t tenant) {
-  Tenant* t = FindTenant(tenant);
-  if (t == nullptr) {
-    return Status::NotFound("unknown tenant index " + std::to_string(tenant));
-  }
+  Tenant* t = nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    t = FindTenantLocked(tenant);
+    if (t == nullptr) {
+      return Status::NotFound("unknown tenant index " +
+                              std::to_string(tenant));
+    }
     if (t->state != TenantState::kActive) {
       return Status::FailedPrecondition("tenant " + t->name +
                                         " is not active");
@@ -930,7 +826,7 @@ Status AutoStatsServer::ProbeTenant(size_t tenant) {
 
 void AutoStatsServer::Drain() {
   drains_active_.fetch_add(1, std::memory_order_relaxed);
-  FsyncCoordinator* coordinator = nullptr;
+  std::vector<Tenant*> tenants;
   {
     std::unique_lock<std::mutex> lock(mu_);
     space_cv_.wait(lock, [&] { return pending_ == 0 || stopping_; });
@@ -938,29 +834,25 @@ void AutoStatsServer::Drain() {
       drains_active_.fetch_sub(1, std::memory_order_relaxed);
       return;
     }
-    coordinator = coordinator_.get();
+    for (const std::unique_ptr<Tenant>& t : tenants_) {
+      tenants.push_back(t.get());
+    }
   }
   // Quiesce the fsync coordinator first: every deferred fsync the drained
   // statements requested is paid before the per-tenant retry below, so a
   // tenant whose flush fails is accounted exactly once.
-  if (coordinator != nullptr) coordinator->FlushNow();
+  if (coordinator_ != nullptr) coordinator_->FlushNow();
   // Retry any fsync a durable tenant still owes (an inline or coordinator
   // fsync that failed leaves the window open). pending == 0 means no
   // worker holds any tenant (the decrement happens in the batch
   // epilogue), so touching tenant state from here is safe while ingress
-  // and lifecycle stay quiescent. Removed tenants have no durability; a
-  // quarantined tenant's WAL is sealed (crashed) and is skipped — its
-  // parked statements stay parked until a probe recovers it.
-  const size_t n = tenant_count_.load(std::memory_order_acquire);
-  for (size_t i = 0; i < n; ++i) {
-    Tenant* t = FindTenant(i);
-    if (t->durability == nullptr || t->durability->crashed()) continue;
-    TenantScopes scopes(t->name, &t->trace);
-    const bool flushed = t->durability->Flush().ok();
+  // and lifecycle stay quiescent. A quarantined tenant's WAL is sealed —
+  // its parked statements stay parked until a probe recovers it.
+  for (Tenant* t : tenants) {
+    FlushTenant(t, /*pass=*/false);
     // Drain is quiescent, so this thread owns every tenant: refresh the
     // health mirror so a post-drain Health() shows the settled WAL lag.
     std::lock_guard<std::mutex> lock(mu_);
-    if (!flushed) ++t->report.durability_failures;
     PublishHealthMirrorLocked(t);
   }
   drains_active_.fetch_sub(1, std::memory_order_relaxed);
@@ -976,23 +868,17 @@ void AutoStatsServer::Stop() {
   space_cv_.notify_all();
   for (std::thread& w : workers_) w.join();
   workers_.clear();
-  // Read after the join: no worker can create the coordinator any more.
-  // Stopped without mu_ held — a final pass's error callback takes it.
-  FsyncCoordinator* coordinator = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    coordinator = coordinator_.get();
-  }
-  if (coordinator != nullptr) coordinator->Stop();
+  // Stopped without mu_ held — a final pass's flush may take it.
+  if (coordinator_ != nullptr) coordinator_->Stop();
+}
+
+size_t AutoStatsServer::num_tenants() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return tenants_.size();
 }
 
 const std::string& AutoStatsServer::tenant_name(size_t tenant) const {
   return FindTenantOrDie(tenant)->name;
-}
-
-const FsyncCoordinator* AutoStatsServer::coordinator() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return coordinator_.get();
 }
 
 const StatsCatalog& AutoStatsServer::catalog(size_t tenant) const {
@@ -1144,19 +1030,20 @@ const char* TenantHealthName(TenantHealth h) {
 
 HealthSnapshot AutoStatsServer::Health() {
   const auto now = std::chrono::steady_clock::now();
-  const size_t n = tenant_count_.load(std::memory_order_acquire);
+  const size_t n = num_tenants();
   HealthSnapshot snap;
   snap.tenants.reserve(n);
   std::vector<HealthWindow> cum(n);
   for (size_t i = 0; i < n; ++i) {
-    Tenant* t = FindTenant(i);
+    const Tenant* t = nullptr;
     TenantHealthSnapshot ts;
-    ts.name = t->name;
     {
       // Everything here is mu_-guarded shared state or the
       // owner-thread mirror published at the last batch epilogue /
       // lifecycle transition — never the live durability pointer.
       std::lock_guard<std::mutex> lock(mu_);
+      t = tenants_[i].get();
+      ts.name = t->name;
       ts.state = TenantStateName(t->state);
       ts.health = TenantHealthName(t->health);
       ts.queue_depth = t->queue.size();

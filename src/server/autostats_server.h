@@ -37,20 +37,22 @@
 //      instead of funneling every tenant through the shared pool's one
 //      job at a time.
 //
-// Durability: the server lazily creates one FsyncCoordinator
-// (server/fsync_coordinator.h) for its durable tenants. With
-// fsync_budget_per_sec > 0, durable tenants append + OS-flush their own
+// Durability: with fsync_budget_per_sec > 0 the server creates one
+// FsyncCoordinator (server/fsync_coordinator.h) when it is constructed
+// and starts it in Start(). Durable tenants append + OS-flush their own
 // WAL records but defer the physical fsync to the coordinator, which
 // coalesces fsyncs across tenants under the shared budget — journal
 // content, recovery, and statement-boundary tearing are unchanged; only
-// the fsync schedule becomes wall-clock dependent. 0 restores the
-// per-tenant inline cadence (deterministic fsync counts).
+// the fsync schedule becomes wall-clock dependent. 0 means no
+// coordinator: the per-tenant inline cadence (deterministic fsync
+// counts). One routine flushes a tenant's journal under its scopes; the
+// coordinator's passes, RemoveTenant and Drain all call it.
 //
 // Tenant lifecycle (live, under traffic — docs/ARCHITECTURE.md §16):
 // AddTenant is callable at any time, including while workers drain other
 // tenants. RemoveTenant quiesces exactly one tenant — admission starts
-// rejecting with kNotFound, the queue drains, the WAL is sealed through
-// the FsyncCoordinator — and releases its catalog/manager.
+// rejecting with kNotFound, the queue drains, the owed WAL fsync is
+// paid — and releases its catalog/manager.
 // ReopenTenant rebuilds the tenant from its durability directory
 // (bit-identical snapshot + replay recovery, exactness fences included)
 // without pausing siblings. States: Active -> Draining -> Removed ->
@@ -65,10 +67,10 @@
 // never blocks the workers. Recovery is by half-open probes on a seeded
 // exponential backoff measured in statements served degraded (logical
 // time counted by the owning worker, so probe schedules are bit-exact
-// functions of the tenant's stream): a probe validates the
-// sealed WAL (replay/fsck), fences the live catalog pending_full_rebuild,
-// and re-establishes durability via CatalogDurability::Resume (a full
-// snapshot of the authoritative in-memory state) — then the parked
+// functions of the tenant's stream): a probe fences the live catalog
+// pending_full_rebuild and re-establishes durability via
+// CatalogDurability::Resume (a full snapshot of the authoritative
+// in-memory state that supersedes the sealed journal) — then the parked
 // statements replay through the manager and the tenant returns Healthy.
 // Probe timing from *coordinator* fsync failures is wall-clock shaped
 // (the coordinator itself is); with fsync_budget_per_sec == 0 every trip
@@ -81,12 +83,13 @@
 // server.rejected_total counter). Backpressure is per-tenant — a slow
 // tenant saturates its own queue, not its siblings'. Both entry points
 // return a typed Status: kNotFound for an unknown or removed tenant,
-// kUnavailable for a shed (queue full on TrySubmit, logical deadline
-// exceeded, quarantined tenant with a full parked buffer, stopping
-// server). A per-statement logical deadline (deadline_slots) sheds the
-// statement when the tenant's queue is already deeper than the budget —
-// an overloaded or quarantined tenant answers with a typed error instead
-// of blocking its caller.
+// kUnavailable for a refusal (queue full on TrySubmit, quarantined
+// tenant with a full parked buffer, reopening tenant, stopping server) —
+// a quarantined tenant answers with a typed error instead of blocking its
+// caller.
+//
+// The tenant registry is a vector under the scheduler mutex: every
+// Submit takes that mutex anyway, so a lookup costs no extra lock.
 //
 // Ordering caveat: the determinism input is each tenant's stream order.
 // Submissions for the SAME tenant from multiple ingress threads are
@@ -136,9 +139,9 @@ struct ServerOptions {
   // latency for other ready tenants).
   int max_batch = 8;
   // Cross-tenant async group commit: flush passes per second the
-  // server's FsyncCoordinator may spend on its durable tenants. 0
-  // disables the coordinator — every tenant pays its own fsync inline on
-  // the worker thread (the deterministic per-tenant cadence).
+  // server's FsyncCoordinator may spend on its durable tenants. 0 means
+  // no coordinator — every tenant pays its own fsync inline on the
+  // worker thread (the deterministic per-tenant cadence).
   double fsync_budget_per_sec = 256.0;
   // Upper bound on how long a committed-but-unsynced WAL record may wait
   // for cross-tenant coalescing (the durability-lag bound).
@@ -162,18 +165,6 @@ struct ServerOptions {
   // Quarantine bound: statements a Degraded tenant may hold (queued +
   // parked awaiting recovery) before admission sheds with kUnavailable.
   size_t max_parked_statements = 1024;
-  // Default logical-deadline budget applied when Submit's deadline_slots
-  // argument is 0: a statement is shed (kUnavailable) when its tenant's
-  // queue is already this deep. 0 = no deadline (block / reject on
-  // max_queue_depth only).
-  int64_t default_deadline_slots = 0;
-  // Per-tenant span ring capacity (obs/span.h): recent statement spans
-  // retained for the health plane's attribution breakdown and the
-  // Perfetto export. Spans record only while obs::EnableSpans is on.
-  size_t span_ring_capacity = 4096;
-  // Per-tenant flight-recorder ring capacity in trace-event lines
-  // (obs/flight_recorder.h). 0 detaches the recorders entirely.
-  size_t flight_ring_capacity = 256;
   // When non-empty, a breaker trip dumps the victim's flight ring to
   // "<dir>/<tenant>.trip<N>.flight.jsonl" (atomic tmp+rename; the dir is
   // created on first use). Empty = dumps only via DumpTenant().
@@ -232,8 +223,9 @@ class AutoStatsServer {
 
   // Quiesces and removes one tenant without pausing siblings: admission
   // flips to kNotFound, the queue drains (the owning worker finishes its
-  // batch), the WAL is sealed with a final fsync through the
-  // FsyncCoordinator, and the catalog/optimizer/manager are released.
+  // batch), the tenant leaves the FsyncCoordinator, its owed fsync is
+  // paid on the calling thread, and the catalog/optimizer/manager are
+  // released.
   // The index, name, trace, and report survive for ReopenTenant and the
   // accessors below. A Degraded tenant may be removed; its parked
   // statements are dropped. kNotFound for an unknown index,
@@ -243,7 +235,7 @@ class AutoStatsServer {
   // Rebuilds a Removed tenant from its TenantConfig: fresh catalog /
   // optimizer / manager, durability recovered bit-identical from
   // snapshot + replay (with the usual exactness fences) under the
-  // tenant's scopes, coordinator membership re-armed. The tenant resumes
+  // tenant's scopes, coordinator flush re-armed. The tenant resumes
   // Active and Healthy; its statement numbering continues from the
   // recovered LSN. kFailedPrecondition unless Removed.
   Status ReopenTenant(size_t tenant);
@@ -256,48 +248,40 @@ class AutoStatsServer {
   // probes); kFailedPrecondition unless Active.
   Status ProbeTenant(size_t tenant);
 
-  // Spawns the worker pool (and the fsync coordinator, if durable
-  // tenants already created it). Call once; tenants may be added before
-  // or after.
+  // Spawns the worker pool and starts the fsync coordinator. Call once;
+  // tenants may be added before or after.
   void Start();
 
   // Enqueues one statement for `tenant`, blocking while its queue is
   // full (each block counts one backpressure wait). Thread-safe; callable
-  // from any number of ingress threads. `deadline_slots` (0 = use
-  // ServerOptions::default_deadline_slots) is the statement's logical
-  // deadline: if the tenant's queue is already that deep the statement
-  // is shed with kUnavailable instead of blocking. kNotFound for an
-  // unknown or removed tenant; kUnavailable for a quarantined tenant
-  // whose parked buffer is full, or after Stop().
-  Status Submit(size_t tenant, const Statement& statement,
-                int64_t deadline_slots = 0);
+  // from any number of ingress threads. kNotFound for an unknown or
+  // removed tenant; kUnavailable for a reopening tenant, a quarantined
+  // tenant whose parked buffer is full (counted as shed), or after
+  // Stop().
+  Status Submit(size_t tenant, const Statement& statement);
   // Non-blocking admission: kUnavailable when the tenant's queue is full
-  // (counted per tenant and on server.rejected_total) or any Submit shed
-  // case applies; kNotFound exactly as for Submit.
-  Status TrySubmit(size_t tenant, const Statement& statement,
-                   int64_t deadline_slots = 0);
+  // (counted per tenant and on server.rejected_total) or any Submit
+  // refusal applies; kNotFound exactly as for Submit.
+  Status TrySubmit(size_t tenant, const Statement& statement);
 
   // Blocks until every submitted statement has been processed or parked,
   // then forces the fsync coordinator through a final pass and retries
-  // any fsync a durable tenant still owes (Flush) under that tenant's
-  // scopes. A Degraded tenant's parked statements stay parked —
+  // any fsync a durable tenant still owes through the tenant flush
+  // routine. A Degraded tenant's parked statements stay parked —
   // they replay on recovery. Ingress and lifecycle ops must be QUIESCENT
   // (no concurrent Submit / TrySubmit / Add / Remove / Reopen) from
   // before the call until it returns. Debug builds check the ingress
   // precondition and abort on a violation.
   void Drain();
 
-  // Stops and joins the workers and coordinators (idempotent). Implies
+  // Stops and joins the workers and the coordinator (idempotent). Implies
   // no further Submit/Drain; queued statements are not processed.
   void Stop();
 
-  size_t num_tenants() const {
-    return tenant_count_.load(std::memory_order_acquire);
-  }
+  size_t num_tenants() const;
   const std::string& tenant_name(size_t tenant) const;
-  // The fsync coordinator; nullptr until a durable tenant is added with
-  // fsync_budget_per_sec > 0.
-  const FsyncCoordinator* coordinator() const;
+  // The fsync coordinator; nullptr exactly when fsync_budget_per_sec is 0.
+  const FsyncCoordinator* coordinator() const { return coordinator_.get(); }
 
   // --- Per-tenant state. Only meaningful while quiescent (after Drain
   // or Stop): the catalog and trace are actively mutated by workers. ---
@@ -315,7 +299,7 @@ class AutoStatsServer {
   int64_t backpressure_waits(size_t tenant) const;
   // TrySubmit rejections this tenant has bounced.
   int64_t rejected_total(size_t tenant) const;
-  // Statements shed by deadline or quarantine admission (kUnavailable).
+  // Statements shed by quarantine admission (kUnavailable).
   int64_t shed_total(size_t tenant) const;
   // The tenant's durability layer (nullptr when in-memory only, removed,
   // or quarantined awaiting recovery).
@@ -373,7 +357,6 @@ class AutoStatsServer {
     obs::TraceSink trace;
     obs::SpanSink spans;        // per-statement causal timelines
     obs::FlightRecorder flight;  // recent trace events for post-mortems
-    size_t coordinator_member = static_cast<size_t>(-1);
     obs::Counter* rejected_counter = nullptr;  // "<name>/server.rejected_total"
     obs::Gauge* state_gauge = nullptr;         // "<name>/server.tenant_state"
 
@@ -386,9 +369,9 @@ class AutoStatsServer {
     Rng rng;                   // probe-backoff jitter (seeded, per tenant)
 
     // Cross-thread breaker feed: the owning worker counts synchronous
-    // failures; the fsync coordinator's error callback counts pass
-    // failures and requests a trip the owner performs at its next turn;
-    // ProbeTenant requests an out-of-band probe the same way.
+    // failures; a failed coordinator pass counts itself and requests a
+    // trip the owner performs at its next turn; ProbeTenant requests an
+    // out-of-band probe the same way.
     std::atomic<int> failure_streak{0};
     std::atomic<bool> trip_requested{false};
     std::atomic<bool> probe_requested{false};
@@ -419,27 +402,40 @@ class AutoStatsServer {
     } mirror;
   };
 
-  // Lock-free tenant lookup: indices resolve through fixed-size chunks
-  // published with a release store on tenant_count_, so Submit and the
-  // workers never take a registry lock while AddTenant grows the fleet.
-  static constexpr size_t kTenantChunkSize = 256;
-  static constexpr size_t kMaxTenantChunks = 4096;  // 1M tenant slots
-  struct TenantChunk {
-    Tenant* slots[kTenantChunkSize] = {};
-  };
-
   void WorkerLoop();
   // Drains one batch from `t` (which the caller owns via `scheduled`).
   void RunTenantBatch(Tenant* t);
-  Status SubmitInternal(size_t tenant, const Statement& statement, bool block,
-                        int64_t deadline_slots);
+  Status SubmitInternal(size_t tenant, const Statement& statement,
+                        bool block);
   // nullptr when the index is out of range (never-registered tenant).
+  // The Locked form requires mu_.
+  Tenant* FindTenantLocked(size_t tenant) const;
   Tenant* FindTenant(size_t tenant) const;
   Tenant* FindTenantOrDie(size_t tenant) const;
-  // Creates (and starts, if the server is running) the coordinator on
-  // demand and adds/reactivates the tenant's membership around its
-  // current durability object. No-op when budget is 0 or not durable.
-  void WireDurabilityIntoCoordinator(Tenant* t);
+  // Builds t's catalog, optimizer and manager from its config and opens
+  // (recovering) its durability directory, if any, under its scopes.
+  // Resets `processed` to the recovered LSN and the breaker state. Shared
+  // by AddTenant and ReopenTenant; the caller owns the tenant.
+  void OpenTenant(Tenant* t);
+  // Makes `durability` t's live writer: the manager commits through it
+  // and, with a coordinator, its fsyncs defer to coordinator id t->index.
+  void AttachDurability(Tenant* t,
+                        std::unique_ptr<CatalogDurability> durability);
+  // The one tenant flush, shared by coordinator passes, RemoveTenant and
+  // Drain: pays the fsync t's journal owes on the calling thread, under
+  // t's scopes, and counts a failure as a durability failure. A pass
+  // (`pass`, the coordinator thread) also records a wall-mode
+  // FsyncPassSpan and feeds the breaker, and leaves a kill to the
+  // tenant's next commit to account.
+  void FlushTenant(Tenant* t, bool pass);
+  // Applies one admitted statement through t's manager on its owning
+  // thread and records its span; shared by batches and recovery replay.
+  AutoStatsManager::Outcome ApplyStatement(Tenant* t,
+                                           const QueuedStatement& qs,
+                                           double pickup_us, bool replay);
+  // Zeroes the owner-thread breaker fields (streak, trip and probe
+  // requests, probe attempts, backoff clock).
+  static void ResetBreaker(Tenant* t);
   // Breaker transitions; the caller owns the tenant and holds its scopes.
   void TripBreaker(Tenant* t, const char* cause);
   bool TryRecoverTenant(Tenant* t);
@@ -456,14 +452,15 @@ class AutoStatsServer {
 
   const ServerOptions options_;
   int resolved_workers_ = 1;
-  std::unique_ptr<TenantChunk> chunks_[kMaxTenantChunks];
-  std::atomic<size_t> tenant_count_{0};
   std::mutex lifecycle_mu_;  // serializes AddTenant/RemoveTenant/Reopen
 
-  // The scheduler. mu_ guards every tenant's queue state (the fields
-  // marked above), the ready queue, the pending count, the lifecycle
-  // flags below, and the coordinator pointer.
+  // The scheduler. mu_ guards the tenant registry, every tenant's queue
+  // state (the fields marked above), the ready queue, the pending count,
+  // and the lifecycle flags below.
   mutable std::mutex mu_;
+  // Indexed by tenant index; entries are never removed, so a Tenant*
+  // stays valid for the server's lifetime.
+  std::vector<std::unique_ptr<Tenant>> tenants_;
   std::condition_variable work_cv_;   // workers: ready_ nonempty or stop
   std::condition_variable space_cv_;  // ingress: queue space freed;
                                       // lifecycle: tenant unscheduled;
@@ -472,9 +469,8 @@ class AutoStatsServer {
   size_t pending_ = 0;                // submitted, not yet processed
   bool started_ = false;
   bool stopping_ = false;
-  // Created by the first durable tenant when fsync_budget_per_sec > 0;
-  // lives until the server is destroyed.
-  std::unique_ptr<FsyncCoordinator> coordinator_;
+  // Set at construction when fsync_budget_per_sec > 0, never changed.
+  const std::unique_ptr<FsyncCoordinator> coordinator_;
   std::atomic<int> drains_active_{0};  // Drain-quiescence debug check
 
   // Health() rolling-window state: the previous call's cumulative

@@ -402,7 +402,7 @@ FleetResult RunOnce(const ChaosOptions& options, const ChaosPlan& plan,
       out.faults_fired += FaultInjector::Instance().TotalFires();
       FaultInjector::Instance().Reset();
       // Disarmed: force half-open probes until every tripped victim
-      // recovers (validate sealed WAL, fence, Resume, replay parked).
+      // recovers (fence, Resume, replay parked).
       for (const FaultAssignment& fa : ep.faults) {
         if (!fa.error) continue;
         Status probed = Status::OK();

@@ -18,10 +18,9 @@
 //      ReopenTenant (snapshot + replay recovery), plus one live AddTenant
 //      growing the fleet.
 //   3. Drains, disarms the schedules, and forces half-open probes
-//      (ProbeTenant) until every tripped victim recovers — sealed WAL
-//      validated, catalog fenced pending_full_rebuild, durability
-//      re-established via CatalogDurability::Resume, parked statements
-//      replayed.
+//      (ProbeTenant) until every tripped victim recovers — catalog
+//      fenced pending_full_rebuild, durability re-established via
+//      CatalogDurability::Resume, parked statements replayed.
 //
 // Verification, after the last episode:
 //   - UNTARGETED tenants (everything outside the episode's error-victim

@@ -4,29 +4,8 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/fault.h"
 
 namespace autostats {
-
-namespace {
-
-// The scopes a flush pass holds while touching one tenant's journal:
-// wal_fsync_us resolves to "<tenant>/wal_fsync_us", and an injected
-// persistence.fsync schedule matched on "tenant=<name>" fires only for
-// that tenant. No trace events are emitted on the fsync path today; the
-// sink scope keeps any future ones in the right stream.
-struct FlushScopes {
-  FlushScopes(const std::string& name, obs::TraceSink* sink)
-      : metrics_label(name),
-        trace_sink(sink),
-        fault_scope("tenant=" + name) {}
-
-  obs::ScopedMetricsLabel metrics_label;
-  obs::ScopedTraceSink trace_sink;
-  ScopedFaultScope fault_scope;
-};
-
-}  // namespace
 
 FsyncCoordinator::FsyncCoordinator(Options options)
     : options_(options) {
@@ -40,54 +19,21 @@ FsyncCoordinator::FsyncCoordinator(Options options)
 
 FsyncCoordinator::~FsyncCoordinator() { Stop(); }
 
-size_t FsyncCoordinator::AddMember(Member member) {
-  AUTOSTATS_CHECK(member.durability != nullptr && !member.name.empty());
+void FsyncCoordinator::Activate(size_t id, std::function<void()> flush) {
+  AUTOSTATS_CHECK(flush != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
-  auto state = std::make_unique<MemberState>();
-  state->member = std::move(member);
-  members_.push_back(std::move(state));
-  return members_.size() - 1;
+  if (id >= flush_.size()) flush_.resize(id + 1);
+  AUTOSTATS_CHECK(flush_[id] == nullptr);
+  flush_[id] = std::move(flush);
 }
 
-void FsyncCoordinator::DeactivateMember(size_t member) {
+void FsyncCoordinator::Deactivate(size_t id) {
   std::unique_lock<std::mutex> lock(mu_);
-  AUTOSTATS_CHECK(member < members_.size());
-  members_[member]->active = false;
-  dirty_.erase(member);
-  // Wait out any in-flight pass: it may have copied this member's state
-  // before the flag flipped, and the caller is about to retire the
-  // durability object that copy points at.
-  idle_cv_.wait(lock, [&] { return stop_ || !in_pass_; });
-}
-
-void FsyncCoordinator::ReactivateMember(size_t member,
-                                        CatalogDurability* durability) {
-  AUTOSTATS_CHECK(durability != nullptr);
-  std::lock_guard<std::mutex> lock(mu_);
-  AUTOSTATS_CHECK(member < members_.size());
-  MemberState& state = *members_[member];
-  AUTOSTATS_CHECK(!state.active);
-  state.member.durability = durability;
-  state.active = true;
-}
-
-Status FsyncCoordinator::FlushMember(size_t member) {
-  std::string name;
-  obs::TraceSink* trace = nullptr;
-  CatalogDurability* durability = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    AUTOSTATS_CHECK(member < members_.size());
-    MemberState& state = *members_[member];
-    if (!state.active) return Status::OK();
-    dirty_.erase(member);
-    name = state.member.name;
-    trace = state.member.trace;
-    durability = state.member.durability;
-  }
-  if (durability->crashed()) return Status::OK();
-  FlushScopes scopes(name, trace);
-  return durability->Flush();
+  if (id < flush_.size()) flush_[id] = nullptr;
+  dirty_.erase(id);
+  // Wait out any in-flight pass: it copied the callback before it was
+  // disarmed, and the caller is about to retire what the callback reads.
+  idle_cv_.wait(lock, [&] { return !in_pass_; });
 }
 
 void FsyncCoordinator::Start() {
@@ -97,13 +43,12 @@ void FsyncCoordinator::Start() {
   thread_ = std::thread([this] { Loop(); });
 }
 
-void FsyncCoordinator::RequestFsync(size_t member) {
+void FsyncCoordinator::RequestFsync(size_t id) {
   std::lock_guard<std::mutex> lock(mu_);
-  AUTOSTATS_CHECK(member < members_.size());
-  if (!members_[member]->active) return;
+  if (id >= flush_.size() || flush_[id] == nullptr) return;
   ++requests_;
   if (obs::MetricsEnabled()) requests_total_->Add();
-  if (!dirty_.insert(member).second) {
+  if (!dirty_.insert(id).second) {
     // Already owing: this commit rides the pending fsync — the whole
     // point of the coordinator.
     ++coalesced_;
@@ -143,7 +88,10 @@ void FsyncCoordinator::Loop() {
         if (!force_ && std::chrono::steady_clock::now() < due) continue;
       }
     }
-    std::vector<size_t> batch(dirty_.begin(), dirty_.end());
+    // Every dirty id is armed: Deactivate erases the id it disarms.
+    std::vector<std::function<void()>> batch;
+    batch.reserve(dirty_.size());
+    for (size_t id : dirty_) batch.push_back(flush_[id]);
     dirty_.clear();
     force_ = false;
     if (batch.empty()) {
@@ -152,7 +100,7 @@ void FsyncCoordinator::Loop() {
     }
     in_pass_ = true;
     lock.unlock();
-    FlushBatch(batch);
+    for (const std::function<void()>& flush : batch) flush();
     lock.lock();
     in_pass_ = false;
     last_pass_ = std::chrono::steady_clock::now();
@@ -163,56 +111,6 @@ void FsyncCoordinator::Loop() {
       batch_tenants_->Observe(static_cast<double>(batch.size()));
     }
     idle_cv_.notify_all();
-  }
-}
-
-void FsyncCoordinator::FlushBatch(const std::vector<size_t>& batch) {
-  for (size_t id : batch) {
-    // Snapshot the member under mu_: AddMember may be growing the vector
-    // and a lifecycle op may be deactivating this very member. A member
-    // deactivated after this copy is still safe to flush — its durability
-    // object outlives the pass (DeactivateMember waits it out).
-    std::string name;
-    obs::TraceSink* trace = nullptr;
-    CatalogDurability* durability = nullptr;
-    obs::SpanSink* spans = nullptr;
-    std::function<void(const Status&)> on_flush_error;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      MemberState& state = *members_[id];
-      if (!state.active) continue;
-      name = state.member.name;
-      trace = state.member.trace;
-      durability = state.member.durability;
-      spans = state.member.spans;
-      on_flush_error = state.member.on_flush_error;
-    }
-    if (durability->crashed()) continue;  // sealed: only Open() resumes
-    FlushScopes scopes(name, trace);
-    // Wall-clock spans only: passes are asynchronous, so they have no
-    // logical clock and never appear in deterministic recordings.
-    const bool span_pass =
-        spans != nullptr && obs::SpansEnabled() &&
-        obs::CurrentSpanMode() == obs::SpanMode::kWall;
-    const double begin_us = span_pass ? obs::SpanNowUs() : 0;
-    // The covered LSN comes back from under the writer's lock: the owning
-    // worker may be committing the tenant's next statement right now.
-    uint64_t synced_lsn = 0;
-    const Status s = durability->Flush(&synced_lsn);
-    if (span_pass && s.ok()) {
-      obs::FsyncPassSpan pass;
-      pass.begin = begin_us;
-      pass.end = obs::SpanNowUs();
-      pass.synced_lsn = synced_lsn;
-      spans->AppendFsyncPass(pass);
-    }
-    // A failed flush on a live writer is a tenant durability failure. A
-    // flush that *sealed* the writer (simulated kill) is not double
-    // counted here: the tenant's next commit fails and its manager
-    // accounts it.
-    if (!s.ok() && !durability->crashed() && on_flush_error) {
-      on_flush_error(s);
-    }
   }
 }
 

@@ -25,12 +25,13 @@
 //     the oldest pending request has waited max_coalesce_us (the
 //     durability-lag bound: a committed record is never further than
 //     one coalesce window from stable storage while the server lives).
-//   - Each member's Flush() runs under that tenant's metrics label,
-//     trace sink, and fault scope ("tenant=<name>"), so wal_fsync_us
-//     lands in the tenant's series and an injected persistence.fsync
-//     kill seals exactly one tenant's writer — per-tenant recovery
-//     independence is preserved (pinned by server_test's
-//     crash-mid-fsync-batch test).
+//   - The coordinator only paces. It knows ids (the server's tenant
+//     index), one flush callback per armed id, which ids owe an fsync,
+//     and the budget; a pass runs the callback of every dirty id. The
+//     server's callback is its one tenant flush routine, which runs under
+//     the tenant's metrics label, trace sink and fault scope, so an
+//     injected persistence.fsync kill seals exactly one tenant's writer
+//     (pinned by server_test's crash-mid-fsync-batch test).
 //
 // What changes and what does not: per-tenant journal *content* (and so
 // recovery, catalogs, traces) stays a pure function of the tenant's
@@ -45,18 +46,12 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <set>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "common/status.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
-#include "obs/trace.h"
-#include "stats/durability.h"
 
 namespace autostats {
 
@@ -73,58 +68,33 @@ class FsyncCoordinator {
     int max_coalesce_us = 10000;
   };
 
-  struct Member {
-    std::string name;                  // tenant name (scope tag)
-    CatalogDurability* durability = nullptr;  // not owned
-    obs::TraceSink* trace = nullptr;          // not owned
-    // When set and spans run in wall mode, each successful pass appends
-    // one FsyncPassSpan (begin/end/synced LSN) for this member. Not
-    // owned; the sink has its own mutex and outlives the coordinator.
-    obs::SpanSink* spans = nullptr;
-    // Invoked (from the coordinator thread, no locks held) when a flush
-    // fails for a live, unsealed writer — the owner accounts it as a
-    // tenant durability failure. Seals are not reported here: the
-    // tenant's next commit fails and is accounted by its manager.
-    std::function<void(const Status&)> on_flush_error;
-  };
-
   explicit FsyncCoordinator(Options options);
   ~FsyncCoordinator();  // Stops and joins.
 
   FsyncCoordinator(const FsyncCoordinator&) = delete;
   FsyncCoordinator& operator=(const FsyncCoordinator&) = delete;
 
-  // Registers one durable tenant; returns the id RequestFsync takes.
-  // Callable before or after Start() (live tenant add): ids are indices,
-  // assigned in registration order and never reused.
-  size_t AddMember(Member member);
+  // Arms `id` with the callback a pass runs to flush its journal (on the
+  // coordinator thread, with no coordinator lock held). Callable before
+  // or after Start(); `id` must not be armed already.
+  void Activate(size_t id, std::function<void()> flush);
 
-  // Retires a member (tenant removal or circuit-breaker quarantine): its
-  // pending request is dropped and later passes skip it. Blocks until any
-  // in-flight pass finishes, so on return no coordinator code holds the
-  // member's durability pointer and the owner may retire the object.
-  // Must not be called from the coordinator thread (the error callback).
-  void DeactivateMember(size_t member);
+  // Disarms `id` (tenant removal, breaker quarantine): its pending
+  // request is dropped and later requests are ignored. Then blocks until
+  // any in-flight pass finishes, which may still be running the old
+  // callback. On return no pass runs it again, so the owner may replace
+  // or destroy whatever the callback reads — this wait is the only
+  // synchronization for that state. Must not be called from the
+  // coordinator thread, or while holding a lock the callback takes.
+  void Deactivate(size_t id);
 
-  // Re-admits a deactivated member around a NEW durability object (tenant
-  // reopen / breaker recovery publish a fresh writer for the same
-  // directory). The caller must have DeactivateMember'd first.
-  void ReactivateMember(size_t member, CatalogDurability* durability);
-
-  // Synchronous final flush of one member on the calling thread, under
-  // the member's scopes (the tenant-removal seal). Clears the member's
-  // pending request; returns the flush status directly instead of
-  // routing it through on_flush_error. OK for an inactive, sealed, or
-  // never-dirty member.
-  Status FlushMember(size_t member);
-
-  // Spawns the coordinator thread (even with zero members: live-added
+  // Spawns the coordinator thread (even with nothing armed: live-added
   // tenants enqueue work later). Call once.
   void Start();
 
-  // Announces that `member`'s journal owes an fsync (the deferral hook).
-  // Thread-safe; requests for the same member coalesce.
-  void RequestFsync(size_t member);
+  // Announces that `id`'s journal owes an fsync (the deferral hook).
+  // Thread-safe; requests for the same id coalesce. Ignored unless armed.
+  void RequestFsync(size_t id);
 
   // Forces an immediate pass over everything pending and blocks until
   // the coordinator is idle (Drain's barrier). Safe before Start() —
@@ -139,27 +109,20 @@ class FsyncCoordinator {
   // --- Accounting (for tests and bench; monotone, thread-safe) ---
   int64_t passes() const;     // flush passes run
   int64_t requests() const;   // RequestFsync calls observed
-  int64_t coalesced() const;  // requests absorbed by an already-dirty member
-  int64_t fsyncs() const;     // member Flush() calls issued by passes
+  int64_t coalesced() const;  // requests absorbed by an already-dirty id
+  int64_t fsyncs() const;     // flush callbacks run by passes
 
  private:
-  // Member plus its lifecycle flag; heap-allocated so addresses are
-  // stable while AddMember grows the vector under traffic.
-  struct MemberState {
-    Member member;
-    bool active = true;
-  };
-
   void Loop();
-  void FlushBatch(const std::vector<size_t>& batch);
 
   const Options options_;
-  std::vector<std::unique_ptr<MemberState>> members_;  // guarded by mu_
 
   mutable std::mutex mu_;
   std::condition_variable cv_;       // coordinator: work arrived / forced
   std::condition_variable idle_cv_;  // FlushNow: pass finished
-  std::set<size_t> dirty_;           // members owing an fsync
+  // Flush callback per armed id, indexed by id (empty = not armed).
+  std::vector<std::function<void()>> flush_;
+  std::set<size_t> dirty_;           // armed ids owing an fsync
   std::chrono::steady_clock::time_point oldest_request_{};
   std::chrono::steady_clock::time_point last_pass_{};
   bool force_ = false;

@@ -234,6 +234,36 @@ TEST_F(WorkloadIoTest, BadLineReportsLineNumber) {
       << back.status().ToString();
 }
 
+// Row counts and seeds are unsigned decimals that fit their type,
+// keywords match exactly, and nothing follows the seed: an insert of
+// 2^64-5 rows would otherwise append rows until memory ran out.
+TEST_F(WorkloadIoTest, MalformedDmlLinesAreRejected) {
+  for (const char* line : {
+           "INSERT INTO fact ROWS -5 SEED 7",
+           "INSERT INTO fact ROWS 5 SEED -1",
+           "INSERT INTO fact ROWS +5 SEED 7",
+           "INSERT INTO fact ROWS 5x SEED 7",
+           "INSERT INTO fact ROWS 18446744073709551616 SEED 7",
+           "INSERT INTO fact ROWS 5 SEED 18446744073709551616",
+           "DELETE FROM fact ROWS 3 SEED 7 trailing junk",
+           "DELETEXYZ FROM fact ROWS 3 SEED 7",
+           "UPDATE fact SET val ROWS 5",
+       }) {
+    EXPECT_EQ(ParseStatementLine(t_.db, line).status().code(),
+              StatusCode::kInvalidArgument)
+        << line;
+  }
+  std::ofstream out(path_);
+  out << "DELETE FROM fact ROWS 3 SEED 7\nINSERT INTO fact ROWS -5 SEED 7\n";
+  out.close();
+  Result<Workload> back = LoadWorkload(t_.db, path_.string());
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(back.status().message().find(path_.string() + ":2:"),
+            std::string::npos)
+      << back.status().ToString();
+}
+
 TEST_F(WorkloadIoTest, MissingFileNotFound) {
   EXPECT_EQ(LoadWorkload(t_.db, "/no/such/file.sql").status().code(),
             StatusCode::kNotFound);

@@ -118,10 +118,20 @@ TEST_F(ObservabilityTest, ExponentialBoundsAndStandardEdges) {
             (std::vector<double>{1, 2, 4, 8}));
   EXPECT_EQ(obs::LinearBounds(1, 1, 4), (std::vector<double>{1, 2, 3, 4}));
   EXPECT_EQ(obs::LinearBounds(2, 3, 3), (std::vector<double>{2, 5, 8}));
-  EXPECT_EQ(obs::LatencyBoundsUs().size(), 17u);
+  EXPECT_EQ(obs::LatencyBoundsUs().size(), 27u);
   EXPECT_EQ(obs::CostBounds().size(), 11u);
   EXPECT_DOUBLE_EQ(obs::LatencyBoundsUs().front(), 1.0);
+  EXPECT_DOUBLE_EQ(obs::LatencyBoundsUs().back(), 67108864.0);  // 2^26
   EXPECT_DOUBLE_EQ(obs::CostBounds().back(), 1048576.0);  // 4^10
+}
+
+// A one-second wait (a saturated server queue) lands in a bucket, not in
+// the overflow tail, so its percentile is not clamped to the top edge.
+TEST_F(ObservabilityTest, LatencyBoundsCoverOneSecond) {
+  obs::Histogram h(obs::LatencyBoundsUs());
+  h.Observe(1e6);
+  EXPECT_EQ(h.Overflow(), 0);
+  EXPECT_GT(h.Snap().Percentile(0.99), 65536.0);
 }
 
 TEST_F(ObservabilityTest, SnapshotsAreNameOrdered) {

@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "query/parser.h"
 #include "query/printer.h"
+#include "query/workload_io.h"
+#include "rags/rags.h"
 #include "tests/test_util.h"
+#include "tpcd/dbgen.h"
+#include "tpcd/schema.h"
 
 namespace autostats {
 namespace {
@@ -155,6 +164,18 @@ TEST_F(ParserTest, AmbiguousBareColumn) {
   EXPECT_NE(q.status().message().find("ambiguous"), std::string::npos);
 }
 
+TEST_F(ParserTest, OutOfRangeNumericLiteralIsATypedError) {
+  EXPECT_EQ(Parse("SELECT * FROM fact WHERE val < 99999999999999999999")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Parse("SELECT * FROM fact WHERE val < 1" + std::string(400, '0') +
+                  ".5")
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST_F(ParserTest, CaseInsensitiveKeywords) {
   EXPECT_TRUE(Parse("sElEcT * FrOm fact wHeRe val < 3").ok());
 }
@@ -210,6 +231,65 @@ TEST_P(ParserFuzzTest, MutatedValidQueryNeverCrashes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzzTest, ::testing::Range(0, 4));
+
+// --- fuzz: workload-file lines (query/workload_io.h) ---
+
+// A recorded Rags stream's lines round-trip unmutated; byte flips,
+// deletions and token swaps of them each parse or return a typed error.
+TEST(WorkloadLineFuzzTest, MutatedRagsLinesReturnOkOrTypedError) {
+  tpcd::TpcdConfig tc;
+  tc.scale_factor = 0.0005;
+  const Database db = tpcd::BuildTpcd(tc);
+  rags::RagsConfig rc;
+  rc.num_statements = 80;
+  rc.update_fraction = 0.5;
+  rc.complexity = rags::Complexity::kComplex;
+  rc.seed = 15;
+  rc.join_edges = tpcd::TpcdForeignKeys(db);
+  const Workload stream = rags::Generate(db, rc);
+  std::vector<std::string> lines;
+  for (const Statement& s : stream.statements()) {
+    const std::string line = StatementToLine(db, s);
+    const Result<Statement> back = ParseStatementLine(db, line);
+    ASSERT_TRUE(back.ok()) << line << ": " << back.status().ToString();
+    EXPECT_EQ(StatementToLine(db, *back), line);
+    lines.push_back(line);
+  }
+
+  Rng rng(0xF022);
+  for (int i = 0; i < 4000; ++i) {
+    std::string m = lines[rng.NextU64(lines.size())];
+    const int edits = 1 + static_cast<int>(rng.NextU64(3));
+    for (int e = 0; e < edits && !m.empty(); ++e) {
+      const size_t pos = rng.NextU64(m.size());
+      switch (rng.NextU64(3)) {
+        case 0:  // flip one bit of one byte
+          m[pos] = static_cast<char>(m[pos] ^ (1 << rng.NextU64(8)));
+          break;
+        case 1:
+          m.erase(pos, 1);
+          break;
+        default: {  // swap two whitespace-separated tokens
+          std::istringstream ss(m);
+          std::vector<std::string> tok;
+          for (std::string w; ss >> w;) tok.push_back(w);
+          if (tok.size() < 2) break;
+          std::swap(tok[rng.NextU64(tok.size())], tok[rng.NextU64(tok.size())]);
+          m.clear();
+          for (const std::string& w : tok) m += (m.empty() ? "" : " ") + w;
+          break;
+        }
+      }
+    }
+    const Result<Statement> parsed = ParseStatementLine(db, m);
+    if (!parsed.ok()) {
+      const StatusCode code = parsed.status().code();
+      EXPECT_TRUE(code == StatusCode::kInvalidArgument ||
+                  code == StatusCode::kNotFound)
+          << m << ": " << parsed.status().ToString();
+    }
+  }
+}
 
 }  // namespace
 }  // namespace autostats

@@ -16,9 +16,10 @@
 //  5. Round-robin: the single ready queue serves ready tenants one
 //     max_batch turn each, in FIFO order.
 //  6. Cross-tenant async group commit: Drain quiesces the server's
-//     fsync coordinator, and a kill injected mid cross-tenant fsync
-//     batch seals only the victim — every tenant independently recovers
-//     to its own statement boundary.
+//     fsync coordinator, remove/reopen pay and re-arm a tenant's deferred
+//     fsync, and a kill injected mid cross-tenant fsync batch seals only
+//     the victim — every tenant independently recovers to its own
+//     statement boundary.
 //  7. Drain's quiescent-ingress precondition trips the debug check.
 #include "server/autostats_server.h"
 
@@ -604,6 +605,79 @@ TEST_F(ServerTest, DrainQuiescesTheFsyncCoordinator) {
   }
 }
 
+int64_t HistogramCount(const std::string& name) {
+  for (const auto& [series, snap] :
+       obs::MetricsRegistry::Instance().HistogramValues()) {
+    if (series == name) return snap.count;
+  }
+  return 0;
+}
+
+// Remove and reopen a durable tenant while a starved coordinator holds
+// its owed fsync: RemoveTenant pays that fsync exactly once, on the
+// removing thread, and retires the tenant's coordinator id so no later
+// pass touches it; ReopenTenant recovers the full stream and re-arms the
+// deferral, so the reopened tenant's commits defer to the coordinator
+// again.
+TEST_F(ServerTest, RemoveAndReopenWithTheCoordinatorOn) {
+  const std::string root = FreshDir("coordinator_lifecycle");
+  TwoTableDb t = MakeTwoTableDb(kFactRows, kDimRows);
+  obs::MetricsRegistry::Instance().ResetAll();
+  obs::EnableMetrics(true);
+  ServerOptions options;
+  options.num_workers = 1;
+  options.fsync_budget_per_sec = 0.001;      // one pass per ~17 minutes
+  options.fsync_max_coalesce_us = 10000000;  // 10 s lag bound
+  AutoStatsServer server(options);
+  TenantConfig tc;
+  tc.name = "lc";
+  tc.db = &t.db;
+  tc.policy = TenantPolicy();
+  tc.policy.durability_checkpoint_every = 0;  // journal-only durability
+  tc.durability_dir = root + "/lc";
+  server.AddTenant(tc);
+  server.Start();
+  const FsyncCoordinator* coordinator = server.coordinator();
+  ASSERT_NE(coordinator, nullptr);
+
+  const Workload stream = TenantStream(t, 0);
+  const size_t half = stream.size() / 2;
+  const int64_t fsyncs_before = HistogramCount("lc/wal_fsync_us");
+  for (size_t i = 0; i < half; ++i) server.Submit(0, stream.statements()[i]);
+  // No Drain: it would force the owed fsync through a pass. RemoveTenant
+  // waits for the worker itself.
+  ASSERT_TRUE(server.RemoveTenant(0).ok());
+  EXPECT_EQ(HistogramCount("lc/wal_fsync_us"), fsyncs_before + 1)
+      << "RemoveTenant must pay the owed fsync exactly once";
+  EXPECT_EQ(coordinator->fsyncs(), 0) << "the fsync ran on a pass";
+  const int64_t requests_at_remove = coordinator->requests();
+  EXPECT_GE(requests_at_remove, 1) << "commits did not defer their fsync";
+
+  // Drain forces a pass over everything pending: the removed tenant's
+  // request is gone with its id, so there is nothing to flush.
+  server.Drain();
+  EXPECT_EQ(coordinator->passes(), 0);
+  EXPECT_EQ(coordinator->fsyncs(), 0);
+  EXPECT_EQ(HistogramCount("lc/wal_fsync_us"), fsyncs_before + 1);
+
+  ASSERT_TRUE(server.ReopenTenant(0).ok());
+  ASSERT_NE(server.durability(0), nullptr);
+  EXPECT_EQ(server.durability(0)->last_committed_lsn(), half)
+      << "reopen did not recover the full stream";
+  for (size_t i = half; i < stream.size(); ++i) {
+    server.Submit(0, stream.statements()[i]);
+  }
+  server.Drain();
+  EXPECT_GT(coordinator->requests(), requests_at_remove)
+      << "the reopened tenant's commits no longer defer";
+  EXPECT_GE(coordinator->fsyncs(), 1);
+  EXPECT_EQ(server.durability(0)->last_committed_lsn(), stream.size());
+  EXPECT_EQ(server.durability(0)->unsynced_appends(), 0);
+  EXPECT_EQ(server.Report(0).durability_failures, 0);
+  server.Stop();
+  obs::EnableMetrics(false);
+}
+
 // A kill injected mid cross-tenant fsync batch (the persistence.fsync
 // point now fires on the coordinator thread, under the victim's fault
 // scope) seals exactly the victim; every tenant — victim included —
@@ -791,32 +865,6 @@ TEST_F(ServerTest, SubmitAndTrySubmitReturnTypedStatusOnUnknownAndRemoved) {
   server.Drain();
   server.Stop();
   EXPECT_EQ(server.Report(0).num_queries, 2);
-}
-
-// Per-statement logical deadlines: a Submit with a deadline budget sheds
-// (typed kUnavailable) instead of blocking when the statement would wait
-// behind at least that many queued siblings.
-TEST_F(ServerTest, DeadlineBudgetShedsInsteadOfBlocking) {
-  TwoTableDb t = MakeTwoTableDb(200, 20);
-  ServerOptions options;
-  options.num_workers = 1;
-  options.max_queue_depth = 8;
-  AutoStatsServer server(options);
-  server.AddTenant({.name = "only", .db = &t.db, .policy = TenantPolicy()});
-  const Statement q = Statement::MakeQuery(MakeFilterQuery(t, 30));
-  // Workers not started: the queue only fills, so depths are exact.
-  EXPECT_TRUE(server.Submit(0, q, /*deadline_slots=*/2).ok());
-  EXPECT_TRUE(server.Submit(0, q, 2).ok());
-  const Status shed = server.Submit(0, q, 2);
-  EXPECT_EQ(shed.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(server.shed_total(0), 1);
-  // An undeadlined Submit on the same queue still admits.
-  EXPECT_TRUE(server.Submit(0, q).ok());
-  server.Start();
-  server.Drain();
-  server.Stop();
-  EXPECT_EQ(server.Report(0).num_queries, 3);
-  EXPECT_EQ(server.shed_total(0), 1);
 }
 
 // --- 9. Circuit breakers ----------------------------------------------------
