@@ -1,15 +1,14 @@
 // bench_hotpath: the measurement half of the perf-trajectory gate
 // (examples/bench_diff.cpp is the comparison half). Emits
 // BENCH_hotpath.json with three classes of series, gated by
-// bench/baselines/hotpath.rules:
+// bench/baselines/gate.rules:
 //
 //   1. Deterministic counts and checksums — selectivity checksums over a
 //      fixed probe grid (locking in the kernels' bit-identical contract),
-//      single-threaded plan-cache hit accounting, WAL fsync/append counts
-//      of the per-statement commit path, and workload exec-cost at 1/2/4
-//      threads (equal
-//      by the bit-identical-parallelism contract). Gated exactly: any
-//      drift on any machine is a semantic change, not noise.
+//      plan-cache hit accounting, WAL fsync/append counts of the
+//      per-statement commit path, and the workload's executed cost.
+//      Gated exactly: any drift on any machine is a semantic change, not
+//      noise.
 //
 //   2. In-process old-vs-new speedup ratios — the pre-optimization
 //      kernels (linear bucket scan, string-render key hashing) are kept
@@ -281,10 +280,8 @@ void PlanCacheSection(BenchJson* json) {
   json->Add("key_hash_ns_per_key", new_ms * 1e6 / kKeys);
   json->Add("key_hash_speedup", new_ms > 0 ? old_ms / new_ms : 0.0);
 
-  // Deterministic probe accounting: three identical single-threaded
-  // sweeps over the workload — round 1 misses, rounds 2-3 hit. Counts are
-  // interleaving-free at one thread, so they gate exactly.
-  SetNumThreads(1);
+  // Deterministic probe accounting: three identical sweeps over the
+  // workload — round 1 misses, rounds 2-3 hit. The counts gate exactly.
   Optimizer optimizer(&t.db);
   Workload w("hotpath");
   w.AddQuery(MakeFilterQuery(t, 30));
@@ -298,18 +295,7 @@ void PlanCacheSection(BenchJson* json) {
   }
   json->AddOptimizerCounters("probe", optimizer);
 
-  // Bit-identical parallelism: the workload exec-cost sweep must produce
-  // the same double at any thread count (per-index slots, ordered sum).
-  double costs[3] = {0.0, 0.0, 0.0};
-  const int thread_counts[3] = {1, 2, 4};
-  for (int i = 0; i < 3; ++i) {
-    SetNumThreads(thread_counts[i]);
-    costs[i] = WorkloadExecCost(t.db, catalog, optimizer, w);
-  }
-  SetNumThreads(1);
-  json->Add("exec_cost_t1", costs[0]);
-  json->Add("exec_cost_threads_equal",
-            (costs[0] == costs[1] && costs[1] == costs[2]) ? 1.0 : 0.0);
+  json->Add("exec_cost_t1", WorkloadExecCost(t.db, catalog, optimizer, w));
 }
 
 // --- Section 3: WAL commit path -------------------------------------------

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/str_util.h"
 #include "core/candidate.h"
 #include "obs/metrics.h"
@@ -89,23 +88,17 @@ inline Workload MakeWorkload(const Database& db, const WorkloadSpec& spec,
 
 // Executed cost of the workload's queries under the catalog's current
 // statistics (DML statements are ignored — execution-cost comparisons are
-// over identical query sets). Each query's optimize+execute is independent,
-// so the sweep fans out across the probe engine; per-query costs land in
-// per-index slots and are summed in index order, keeping the total
-// bit-identical at any thread count.
+// over identical query sets), summed in workload order.
 inline double WorkloadExecCost(const Database& db,
                                const StatsCatalog& catalog,
                                const Optimizer& optimizer,
                                const Workload& w) {
   const Executor executor(&db, optimizer.cost_model());
-  const std::vector<const Query*> queries = w.Queries();
-  std::vector<double> costs(queries.size(), 0.0);
-  ParallelFor(queries.size(), [&](size_t i) {
-    const OptimizeResult r = optimizer.Optimize(*queries[i], StatsView(&catalog));
-    costs[i] = executor.Execute(*queries[i], r.plan).work_units;
-  });
   double total = 0.0;
-  for (double c : costs) total += c;
+  for (const Query* q : w.Queries()) {
+    const OptimizeResult r = optimizer.Optimize(*q, StatsView(&catalog));
+    total += executor.Execute(*q, r.plan).work_units;
+  }
   return total;
 }
 
@@ -131,7 +124,6 @@ class BenchJson {
  public:
   explicit BenchJson(std::string name) : name_(std::move(name)) {
     Add("scale_factor", ScaleFactor());
-    Add("threads", static_cast<double>(NumThreads()));
   }
 
   void Add(const std::string& key, double value) {

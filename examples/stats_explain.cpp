@@ -9,15 +9,14 @@
 //   stats_explain --stat lineitem.l_quantity   full trail for one statistic
 //   stats_explain --stat 3:4                   same, by raw catalog key
 //   stats_explain --all                 full trail for every statistic
-//   stats_explain --threads N           replay with N probe threads
 //   stats_explain --trace out.jsonl     also write the raw JSONL trace
 //   stats_explain --replay dump.jsonl   render a flight-recorder post-mortem
 //   stats_explain --selftest            determinism + reconstruction check
 //
-// The selftest replays the identical workload at 1, 2, and 4 probe
-// threads and asserts the three traces are BYTE-IDENTICAL (the contract
-// in obs/trace.h), then checks that the final state reconstructed from
-// trace events alone matches the live catalog's active / drop-list sets.
+// The selftest replays the identical workload twice and asserts the two
+// traces are BYTE-IDENTICAL (the contract in obs/trace.h), then checks
+// that the final state reconstructed from trace events alone matches the
+// live catalog's active / drop-list sets.
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -51,7 +50,7 @@ struct Replay {
   RunReport report;
 };
 
-Replay RunTracedWorkload(int threads) {
+Replay RunTracedWorkload() {
   tpcd::TpcdConfig db_config;
   db_config.scale_factor = 0.002;
   db_config.skew_mode = tpcd::SkewMode::kFixed;
@@ -70,7 +69,6 @@ Replay RunTracedWorkload(int threads) {
   ManagerPolicy policy;
   policy.mode = CreationMode::kMnsaDOnTheFly;
   policy.mnsa.t_percent = 20.0;
-  policy.num_threads = threads;
   // Low trigger + incremental mode: the 25% DML slice then drives real
   // merge refreshes, cadence rescans, and drop-list fences.
   policy.update_trigger.fraction = 0.01;
@@ -399,13 +397,11 @@ void PrintSummary(const Database& db,
   } while (0)
 
 int RunSelftest() {
-  // 1. Byte-identical traces at 1, 2, and 4 probe threads.
-  const Replay r1 = RunTracedWorkload(1);
-  const Replay r2 = RunTracedWorkload(2);
-  const Replay r4 = RunTracedWorkload(4);
+  // 1. Two replays write byte-identical traces.
+  const Replay r1 = RunTracedWorkload();
+  const Replay r2 = RunTracedWorkload();
   SELFTEST_EXPECT(!r1.lines.empty(), "trace is non-empty");
-  SELFTEST_EXPECT(r1.dump == r2.dump, "trace at 2 threads == 1 thread");
-  SELFTEST_EXPECT(r1.dump == r4.dump, "trace at 4 threads == 1 thread");
+  SELFTEST_EXPECT(r1.dump == r2.dump, "second replay's trace == first's");
 
   // 2. The stream exercised the interesting lifecycle transitions.
   const std::vector<Event> events = ParseTrace(r1.lines);
@@ -436,7 +432,7 @@ int RunSelftest() {
   SELFTEST_EXPECT(derived_dropped == r1.drop_listed,
                   "derived drop-list matches catalog.DropListKeys()");
 
-  std::printf("selftest PASSED: %zu events byte-identical at 1/2/4 threads; "
+  std::printf("selftest PASSED: %zu events byte-identical across replays; "
               "%zu lifecycles reconstructed (%zu active, %zu drop-listed)\n",
               events.size(), lifecycles.size(), derived_active.size(),
               derived_dropped.size());
@@ -525,7 +521,6 @@ int ReplayFlightDump(const std::string& path) {
 int main(int argc, char** argv) {
   std::string stat_arg, trace_path;
   bool all = false;
-  int threads = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--selftest") return RunSelftest();
@@ -538,19 +533,17 @@ int main(int argc, char** argv) {
       stat_arg = argv[++i];
     } else if (arg == "--trace" && i + 1 < argc) {
       trace_path = argv[++i];
-    } else if (arg == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
     } else {
       std::fprintf(stderr,
                    "usage: stats_explain [--stat <table.column|key>] [--all] "
-                   "[--threads N] [--trace <out.jsonl>]\n"
+                   "[--trace <out.jsonl>]\n"
                    "       stats_explain --replay <dump.jsonl>\n"
                    "       stats_explain --selftest\n");
       return 2;
     }
   }
 
-  const Replay replay = RunTracedWorkload(threads);
+  const Replay replay = RunTracedWorkload();
   if (!trace_path.empty()) {
     obs::TraceSink::Instance().WriteFile(trace_path);
     std::printf("[wrote %s]\n", trace_path.c_str());

@@ -126,9 +126,9 @@ Status FaultInjector::Poke(const char* point, const char* detail,
                            : std::string()));
     }
   }
-  // Emitted outside the injector mutex. Armed faults force serial
-  // execution (common/parallel.h), so firings are serial decision points
-  // and the event order is thread-count-invariant.
+  // Emitted outside the injector mutex. Pokes run on the calling thread
+  // in program order, so firings are decision points like any other and
+  // the event order is fixed by the workload.
   if (fired && obs::TraceActive()) {
     obs::TraceEvent("fault.fire")
         .Str("point", point)

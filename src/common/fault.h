@@ -8,10 +8,10 @@
 // a binary without the layer.
 //
 // Determinism contract: schedules are driven by per-point hit counters and
-// a per-point seeded Rng, and the parallel probe engine (common/parallel.*)
-// degrades to serial execution while any point is armed, so the set of
-// operations that fail under a given schedule is a pure function of the
-// workload — independent of thread count and timing.
+// a per-point seeded Rng, and every fallible operation of a statement runs
+// on the calling thread in program order, so the set of operations that
+// fail under a given schedule is a pure function of the workload —
+// independent of timing.
 //
 // The registered injection points (see AllFaultPoints() and the table in
 // docs/ARCHITECTURE.md §9):

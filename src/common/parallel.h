@@ -1,64 +1,21 @@
-// A small shared thread pool and ParallelFor/ParallelInvoke helpers for
-// fanning out independent optimizer probes (Shrinking Set's per-(statistic,
-// query) re-optimizations, MNSA's epsilon / 1-epsilon twin probes, workload
-// sweeps, per-column statistic scans).
-//
-// Determinism contract: ParallelFor(n, fn) invokes fn(i) exactly once for
-// every i in [0, n), in an unspecified order and possibly concurrently.
-// Callers that aggregate results MUST write into per-index slots and reduce
-// serially in index order afterwards; every algorithm in this repo follows
-// that pattern, so a run at N threads is bit-identical to a run at 1 thread.
-//
-// Nested calls are safe: a ParallelFor issued from inside a pool worker runs
-// inline on that worker (no deadlock, no oversubscription).
-//
-// While fault injection is armed (common/fault.h) every ParallelFor runs
-// serially inline regardless of the configured thread count, so seeded
-// failure schedules fire deterministically; the disabled path is untouched.
+// An empty scope object, kept only so that code outside the library that
+// still constructs one (the end-to-end benchmark's engine, perfbench/)
+// keeps compiling. The library has no thread pool: statements, MNSA runs,
+// Shrinking Set passes and statistic builds all run on the calling
+// thread, so there is nothing for this scope to switch off. Nothing in
+// src/, tests/, bench/ or examples/ uses it.
 #ifndef AUTOSTATS_COMMON_PARALLEL_H_
 #define AUTOSTATS_COMMON_PARALLEL_H_
 
-#include <cstddef>
-#include <functional>
-#include <vector>
-
 namespace autostats {
 
-// The configured degree of parallelism (>= 1). Initialized from the
-// AUTOSTATS_THREADS environment variable when set, otherwise from
-// std::thread::hardware_concurrency().
-int NumThreads();
-
-// Overrides the degree of parallelism; n <= 1 makes every ParallelFor run
-// serially inline (the reference behavior the determinism tests compare
-// against). Not safe to call concurrently with an in-flight ParallelFor.
-void SetNumThreads(int n);
-
-// Invokes fn(i) exactly once for each i in [0, n). The calling thread
-// participates in the work and returns only after every index completed.
-void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
-
-// Runs every thunk exactly once, possibly concurrently; returns when all
-// completed.
-void ParallelInvoke(const std::vector<std::function<void()>>& fns);
-
-// Marks the calling thread as already inside a parallel region for the
-// scope's lifetime: every ParallelFor it issues runs serially inline
-// instead of entering the shared pool. The multi-tenant server wraps each
-// statement it processes in one of these — its own workers ARE the
-// parallelism, and tenants fanning probe jobs into the one shared pool
-// would serialize against each other on the pool's job lock. Results are
-// unchanged (the probe engine is bit-identical at any thread count);
-// nests safely with pool workers and with itself.
 class ParallelInlineScope {
  public:
-  ParallelInlineScope();
-  ~ParallelInlineScope();
+  // User-provided, so an otherwise unused instance draws no
+  // unused-variable warning.
+  ParallelInlineScope() {}
   ParallelInlineScope(const ParallelInlineScope&) = delete;
   ParallelInlineScope& operator=(const ParallelInlineScope&) = delete;
-
- private:
-  bool prev_;
 };
 
 }  // namespace autostats

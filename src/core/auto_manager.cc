@@ -253,7 +253,6 @@ void AutoStatsManager::Accumulate(const Outcome& o, RunReport* report) {
 }
 
 RunReport AutoStatsManager::Run(const Workload& workload) {
-  ApplyPolicyParallelism(policy_);
   RunReport report;
   report.label = workload.name() + "/" + CreationModeName(policy_.mode);
   for (const Statement& s : workload.statements()) {

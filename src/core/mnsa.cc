@@ -4,7 +4,6 @@
 #include <set>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "core/find_next_stat.h"
 #include "obs/trace.h"
 
@@ -94,8 +93,8 @@ MnsaResult RunMnsa(const Optimizer& optimizer, StatsCatalog* catalog,
 
   StatsView view(catalog);
 
-  // Serial fallible probe: retries transient faults, then degrades by
-  // stopping the analysis (remaining predicates keep their magic numbers —
+  // Fallible probe: retries transient faults, then degrades by stopping
+  // the analysis (remaining predicates keep their magic numbers —
   // a state the §4.1 monotonicity argument already covers).
   auto probe = [&](const SelectivityOverrides& overrides,
                    OptimizeResult* out) {
@@ -118,55 +117,20 @@ MnsaResult RunMnsa(const Optimizer& optimizer, StatsCatalog* catalog,
     ++result.iterations;
 
     // Steps 4-7: sensitivity test over the uncertain selectivity variables.
-    // The epsilon / 1-epsilon twin probes are independent of each other and
-    // run concurrently.
     if (current.uncertain.empty()) return result;  // nothing left to sweep
-    // Each twin writes only its own slot; abort/success counters are
-    // aggregated after the join so the disabled-faults path stays race-free
-    // and bit-identical at any thread count.
-    struct ProbeOutcome {
-      OptimizeResult result;
-      int64_t aborted = 0;
-      bool ok = false;
-    };
-    ProbeOutcome lo, hi;
-    ParallelInvoke({
-        [&] {
-          Result<OptimizeResult> r = optimizer.TryOptimizeWithRetry(
-              query, view, AtBound(current.uncertain, false),
-              config.probe_retry, &lo.aborted);
-          if (r.ok()) {
-            lo.result = std::move(*r);
-            lo.ok = true;
-          }
-        },
-        [&] {
-          Result<OptimizeResult> r = optimizer.TryOptimizeWithRetry(
-              query, view, AtBound(current.uncertain, true),
-              config.probe_retry, &hi.aborted);
-          if (r.ok()) {
-            hi.result = std::move(*r);
-            hi.ok = true;
-          }
-        },
-    });
-    result.probes_aborted += lo.aborted + hi.aborted;
-    result.optimizer_calls += (lo.ok ? 1 : 0) + (hi.ok ? 1 : 0);
-    if (!lo.ok || !hi.ok) {
-      // A twin probe failed even after retries: stop the sweep rather than
-      // decide equivalence from half a comparison.
-      result.converged = false;
-      result.degraded = true;
-      return result;
-    }
-    OptimizeResult& p_low = lo.result;
-    OptimizeResult& p_high = hi.result;
+    // Both twins are probed before the failure check: a failed P_low still
+    // lets P_high run, which fault schedules' hit counts rely on. A twin
+    // that failed even after retries stops the sweep rather than decide
+    // equivalence from half a comparison.
+    OptimizeResult p_low, p_high;
+    const bool low_ok = probe(AtBound(current.uncertain, false), &p_low);
+    const bool high_ok = probe(AtBound(current.uncertain, true), &p_high);
+    if (!low_ok || !high_ok) return result;
     AUTOSTATS_DCHECK(p_high.cost >= p_low.cost - 1e-6);
     const EquivalenceSpec spec{config.equivalence, config.t_percent};
     const bool equivalent = PlansEquivalent(spec, p_low, p_high);
-    // One combined event AFTER the join, emitted by the serial decision
-    // loop: the twin probes themselves emit nothing, which is what keeps
-    // the trace bit-identical at any probe thread count.
+    // One combined event per pair: the twin probes themselves emit
+    // nothing.
     if (obs::TraceActive()) {
       obs::TraceEvent("mnsa.probe_pair")
           .Str("query", query.name())
@@ -237,11 +201,10 @@ MnsaResult RunMnsaWorkload(const Optimizer& optimizer, StatsCatalog* catalog,
                            const MnsaConfig& config) {
   MnsaResult merged;
   merged.converged = true;
-  // The per-query loop is inherently serial (each run may create
-  // statistics the next run must see); the parallelism lives inside
-  // RunMnsa's twin probes. No speculative pre-warm: any probe issued
-  // before the loop would be invalidated by the first statistic created,
-  // and it would make Optimizer::num_calls() thread-count-dependent.
+  // The per-query loop is inherently serial: each run may create
+  // statistics the next run must see. No speculative pre-warm: any probe
+  // issued before the loop would be invalidated by the first statistic
+  // created.
   for (const Query* q : workload.Queries()) {
     merged.Merge(RunMnsa(optimizer, catalog, *q, config));
   }
@@ -257,10 +220,7 @@ MnsaResult RunMnsaWorkloadWeighted(const Optimizer& optimizer,
   MnsaResult merged;
   merged.converged = true;
 
-  // Rank queries by estimated cost under the current statistics. The
-  // ranking sweep mutates nothing, so the per-query probes fan out; costs
-  // land in per-index slots and are summed in index order afterwards, so
-  // the ranking (and FP total) is bit-identical to a serial sweep. It uses
+  // Rank queries by estimated cost under the current statistics. It uses
   // the infallible Optimize on purpose: ranking is serving-path work (a
   // per-query cost estimate), and only sensitivity probes and statistic
   // builds are injectable fault points.
@@ -268,19 +228,14 @@ MnsaResult RunMnsaWorkloadWeighted(const Optimizer& optimizer,
     const Query* query;
     double cost;
   };
-  const std::vector<const Query*> queries = workload.Queries();
   const StatsView view(catalog);
-  std::vector<double> costs(queries.size(), 0.0);
-  ParallelFor(queries.size(), [&](size_t i) {
-    costs[i] = optimizer.Optimize(*queries[i], view).cost;
-  });
-  merged.optimizer_calls += static_cast<int>(queries.size());
   std::vector<Ranked> ranked;
-  ranked.reserve(queries.size());
   double total_cost = 0.0;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ranked.push_back({queries[i], costs[i]});
-    total_cost += costs[i];
+  for (const Query* q : workload.Queries()) {
+    const double cost = optimizer.Optimize(*q, view).cost;
+    ranked.push_back({q, cost});
+    total_cost += cost;
+    ++merged.optimizer_calls;
   }
   std::stable_sort(ranked.begin(), ranked.end(),
                    [](const Ranked& a, const Ranked& b) {

@@ -1,11 +1,10 @@
 #include "core/mnsa_d.h"
 
-// MNSA/D delegates to RunMnsa/RunMnsaWorkload and therefore inherits the
-// parallel probe engine: concurrent epsilon / 1-epsilon twin probes and
-// plan-cost memoization. Drop detection adds no optimizer calls, so the
-// concurrency story is identical to MNSA's — and so is the degradation
-// story: failed builds are vetoed, failed probes stop the sweep, and the
-// failure counters of MnsaResult flow through unchanged.
+// MNSA/D delegates to RunMnsa/RunMnsaWorkload and therefore inherits its
+// epsilon / 1-epsilon twin probes and plan-cost memoization. Drop
+// detection adds no optimizer calls, and the degradation story is MNSA's:
+// failed builds are vetoed, failed probes stop the sweep, and the failure
+// counters of MnsaResult flow through unchanged.
 
 namespace autostats {
 

@@ -1,12 +1,6 @@
 #include "core/policy.h"
 
-#include "common/parallel.h"
-
 namespace autostats {
-
-void ApplyPolicyParallelism(const ManagerPolicy& policy) {
-  if (policy.num_threads > 0) SetNumThreads(policy.num_threads);
-}
 
 const char* CreationModeName(CreationMode mode) {
   switch (mode) {

@@ -34,21 +34,9 @@ enum class CreationMode {
 
 const char* CreationModeName(CreationMode mode);
 
-// Applies the policy's probe-engine parallelism (no-op when num_threads
-// is 0). Called by AutoStatsManager::Run before processing a workload.
-struct ManagerPolicy;
-void ApplyPolicyParallelism(const ManagerPolicy& policy);
-
 struct ManagerPolicy {
   CreationMode mode = CreationMode::kMnsaDOnTheFly;
   MnsaConfig mnsa;
-
-  // Degree of parallelism for the optimizer-probe engine
-  // (common/parallel.h) during the manager's workload sweeps (offline MNSA
-  // passes, Shrinking Set). 0 keeps the process-wide setting
-  // (AUTOSTATS_THREADS / hardware concurrency). Results are bit-identical
-  // at any value; this only trades wall-clock for cores.
-  int num_threads = 0;
 
   // kPeriodicOffline: statements per off-line tuning pass, and whether the
   // pass runs Shrinking Set after MNSA.

@@ -4,7 +4,6 @@
 #include <set>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "obs/trace.h"
 
 namespace autostats {
@@ -50,40 +49,27 @@ ShrinkingSetResult RunShrinkingSet(const Optimizer& optimizer,
 
   const std::vector<const Query*> queries = workload.Queries();
 
-  // Baseline plans: Plan(Q, S) for every query. The probes are independent
-  // (catalog untouched), so they fan out across the pool; slots are
-  // per-index — results, abort counts, and ok flags — and are aggregated
-  // after the join, keeping results identical at any thread count.
+  // Baseline plans: Plan(Q, S) for every query.
   std::vector<OptimizeResult> baselines(queries.size());
   std::vector<char> baseline_ok(queries.size(), 0);
-  {
-    const StatsView base_view = RestrictedView(*catalog, s_set);
-    std::vector<int64_t> aborted(queries.size(), 0);
-    ParallelFor(queries.size(), [&](size_t qi) {
-      Result<OptimizeResult> r = optimizer.TryOptimizeWithRetry(
-          *queries[qi], base_view, {}, config.probe_retry, &aborted[qi]);
-      if (r.ok()) {
-        baselines[qi] = std::move(*r);
-        baseline_ok[qi] = 1;
-      }
-    });
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      result.probes_aborted += aborted[qi];
-      if (baseline_ok[qi]) {
-        ++result.optimizer_calls;
-      } else {
-        result.degraded = true;
-      }
+  const StatsView base_view = RestrictedView(*catalog, s_set);
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    Result<OptimizeResult> r = optimizer.TryOptimizeWithRetry(
+        *queries[qi], base_view, {}, config.probe_retry,
+        &result.probes_aborted);
+    if (r.ok()) {
+      baselines[qi] = std::move(*r);
+      baseline_ok[qi] = 1;
+      ++result.optimizer_calls;
+    } else {
+      result.degraded = true;
     }
   }
 
-  // The outer loop is inherently serial — removing s changes the view every
-  // later statistic is tested under — but each statistic's per-query probes
-  // are independent and run in parallel. All potentially relevant queries
-  // are probed (no early exit): "needed" is an OR-reduction, so the
-  // verdict, the removal order, and the final sets are bit-identical to a
-  // serial run, and the probe count no longer depends on query order or
-  // thread count.
+  // The outer loop is inherently serial: removing s changes the view every
+  // later statistic is tested under. Every potentially relevant query is
+  // probed (no early exit), so the probe count does not depend on query
+  // order.
   std::set<StatKey> r_set = s_set;
   for (const StatKey& s : s_keys) {
     const StatEntry* entry = catalog->FindEntry(s);
@@ -93,56 +79,38 @@ ShrinkingSetResult RunShrinkingSet(const Optimizer& optimizer,
     without.erase(s);
     const StatsView view = RestrictedView(*catalog, without);
 
-    std::vector<size_t> relevant;
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      if (PotentiallyRelevant(entry->stat, *queries[qi])) {
-        relevant.push_back(qi);
-      }
-    }
-
     // Degradation is conservative: a query whose baseline or alternate
     // probe failed (after retries) counts as "plan differs", so s is kept.
     // Keeping a non-essential statistic costs only maintenance; dropping an
     // essential one would cost plan quality.
-    std::vector<char> differs(relevant.size(), 0);
-    std::vector<char> probe_ok(relevant.size(), 0);
-    std::vector<int64_t> aborted(relevant.size(), 0);
-    ParallelFor(relevant.size(), [&](size_t i) {
-      const size_t qi = relevant[i];
+    int64_t relevant = 0;
+    int64_t differing = 0;
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      if (!PotentiallyRelevant(entry->stat, *queries[qi])) continue;
+      ++relevant;
       if (!baseline_ok[qi]) {
-        differs[i] = 1;
-        return;
+        ++differing;
+        continue;
       }
       Result<OptimizeResult> alt = optimizer.TryOptimizeWithRetry(
-          *queries[qi], view, {}, config.probe_retry, &aborted[i]);
+          *queries[qi], view, {}, config.probe_retry, &result.probes_aborted);
       if (!alt.ok()) {
-        differs[i] = 1;
-        return;
-      }
-      probe_ok[i] = 1;
-      differs[i] =
-          PlansEquivalent(config.equivalence, *alt, baselines[qi]) ? 0 : 1;
-    });
-    for (size_t i = 0; i < relevant.size(); ++i) {
-      result.probes_aborted += aborted[i];
-      if (probe_ok[i]) {
-        ++result.optimizer_calls;
-      } else if (baseline_ok[relevant[i]]) {
         result.degraded = true;  // the alternate probe itself failed
+        ++differing;
+        continue;
+      }
+      ++result.optimizer_calls;
+      if (!PlansEquivalent(config.equivalence, *alt, baselines[qi])) {
+        ++differing;
       }
     }
 
-    const bool needed =
-        std::find(differs.begin(), differs.end(), 1) != differs.end();
-    // Serial decision point (the per-query probes above emit nothing):
-    // one verdict event per statistic, in sorted-key order.
+    const bool needed = differing > 0;
     if (obs::TraceActive()) {
-      int64_t differing = 0;
-      for (char d : differs) differing += d;
       obs::TraceEvent("shrink.verdict")
           .Str("key", s)
           .Bool("needed", needed)
-          .Int("relevant_queries", static_cast<int64_t>(relevant.size()))
+          .Int("relevant_queries", relevant)
           .Int("differing_plans", differing);
     }
     if (!needed) {

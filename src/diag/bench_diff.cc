@@ -90,6 +90,20 @@ Result<std::string> ParseJsonString(const std::string& s, size_t* i) {
   return out;
 }
 
+// Parses `token` as one finite decimal number (digits, sign, point,
+// exponent — no hex, inf or nan), consuming the whole token.
+bool ParseFiniteDecimal(const std::string& token, double* out) {
+  if (token.empty() ||
+      token.find_first_not_of("0123456789+-.eE") != std::string::npos) {
+    return false;
+  }
+  char* end = nullptr;
+  const double v = std::strtod(token.c_str(), &end);
+  if (end != token.c_str() + token.size() || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
 double PercentDelta(double baseline, double fresh) {
   if (baseline == 0.0) return fresh == 0.0 ? 0.0 : HUGE_VAL;
   return (fresh - baseline) / std::fabs(baseline) * 100.0;
@@ -222,11 +236,17 @@ Result<std::vector<GateRule>> ParseRulesFile(const std::string& path) {
     }
     std::string extra;
     while (fields >> extra) {
-      if (extra.rfind("min=", 0) == 0) {
-        rule.min_value = std::strtod(extra.c_str() + 4, nullptr);
-      } else {
+      if (extra.rfind("min=", 0) != 0) {
         return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
                                        ": unknown field '" + extra + "'");
+      }
+      // A floor that fails to parse must not silently switch off: the
+      // value is one whole, finite decimal token, given at most once.
+      const std::string value = extra.substr(4);
+      if (!std::isnan(rule.min_value) ||
+          !ParseFiniteDecimal(value, &rule.min_value)) {
+        return Status::InvalidArgument(path + ":" + std::to_string(line_no) +
+                                       ": bad min value '" + value + "'");
       }
     }
     rules.push_back(std::move(rule));

@@ -6,15 +6,12 @@
 // StatsCatalog, WAL commit/checkpoint/recovery events, and fault-point
 // firings.
 //
-// Determinism contract (the whole point): a trace taken at 1, 2, or 4
-// probe threads over the same seeded workload is BYTE-IDENTICAL.
-// Three rules make that hold:
-//   1. Events are only emitted from serial decision points. The twin
-//      ε/1−ε probes run in parallel but emit nothing; the MNSA loop
-//      emits one combined `mnsa.probe_pair` event after the join, in
-//      loop order. Same for every other fan-out in the library
-//      (ParallelFor writes into per-index slots; all trace emission
-//      happens in the serial index-order reduction that follows).
+// Determinism contract (the whole point): two traces taken over the same
+// seeded workload are BYTE-IDENTICAL. Three rules make that hold:
+//   1. Events are only emitted from decision points, which run on the
+//      calling thread in program order. The twin ε/1−ε probes emit
+//      nothing; the MNSA loop emits one combined `mnsa.probe_pair`
+//      event per pair, in loop order.
 //   2. Events carry a logical clock (the manager's statement tick,
 //      via SetLogicalClock) and a sink-assigned sequence number —
 //      never wall time.
@@ -91,7 +88,8 @@ class TraceSink {
   // WITHOUT the surrounding braces or the seq/clock prefix; the sink
   // stamps `"seq":N,"clock":C` and wraps it. Thread-safe, but see the
   // determinism contract in the file comment: call sites must be
-  // serial decision points for traces to be thread-count-invariant.
+  // decision points on the statement's own thread for traces to be
+  // reproducible.
   void Append(const std::string& fields);
 
   // The logical clock stamped on subsequent events. AutoStatsManager

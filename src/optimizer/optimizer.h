@@ -47,9 +47,9 @@ class PlanCache;
 
 // Thread-safety: Optimize() is safe to call concurrently from many threads
 // against the same Optimizer as long as nothing mutates the Database, the
-// StatsCatalog behind the view, or the overrides during the calls — the
-// contract under which the parallel probe engine (common/parallel.h) fans
-// out Shrinking Set / MNSA probes.
+// StatsCatalog behind the view, or the overrides during the calls. The
+// call counters are atomic and the PlanCache takes a mutex, so concurrent
+// callers see exact counts and bit-identical cached plans.
 class Optimizer {
  public:
   explicit Optimizer(const Database* db, OptimizerConfig config = {});

@@ -11,17 +11,18 @@ namespace autostats {
 
 namespace {
 
-// Slab pool for PlanNode. The optimizer's probe engine allocates and frees
-// nodes at very high rates (a tree per probe, a deep copy per cache hit),
-// and at 4096 cached plans the global allocator's lock and per-node
-// metadata dominate Clone(). Blocks are served LIFO from a per-thread free
-// list backed by chunked slabs, so the common alloc/free is a couple of
-// pointer moves with no lock.
+// Slab pool for PlanNode. The optimizer allocates and frees nodes at very
+// high rates (a tree per probe, a deep copy per cache hit), and at 4096
+// cached plans the global allocator's lock and per-node metadata dominate
+// Clone(). Blocks are served LIFO from a per-thread free list backed by
+// chunked slabs, so the common alloc/free is a couple of pointer moves
+// with no lock.
 //
 // Slabs are retained for the life of the process (like the metrics
-// registry's leaky singletons): a node allocated by a probe worker can be
-// freed later by whichever thread evicts it from the plan cache, so slab
-// lifetime cannot be tied to any one thread. Every slab is registered in
+// registry's leaky singletons): a tenant's statements run on whichever
+// server worker picks them up, so a node allocated on one worker can be
+// freed on another when it leaves the plan cache, and slab lifetime
+// cannot be tied to any one thread. Every slab is registered in
 // a process-wide list on the Refill slow path, so retained memory stays
 // reachable after the thread whose free list held it exits (a leak
 // checker sees it as held, not lost). The pool object itself is

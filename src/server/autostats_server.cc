@@ -2,17 +2,17 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <thread>
 #include <utility>
 
 #include "common/check.h"
 #include "common/fault.h"
-#include "common/parallel.h"
 
 namespace autostats {
 
 namespace {
 
-// All four thread scopes a worker (or a lifecycle op, or a flush) holds
+// All three thread scopes a worker (or a lifecycle op, or a flush) holds
 // while touching one tenant's state, as a single stack object.
 struct TenantScopes {
   explicit TenantScopes(const std::string& name, obs::TraceSink* sink)
@@ -23,7 +23,6 @@ struct TenantScopes {
   obs::ScopedMetricsLabel metrics_label;
   obs::ScopedTraceSink trace_sink;
   ScopedFaultScope fault_scope;
-  ParallelInlineScope inline_probes;
 };
 
 // server.tenant_state gauge values (docs/ARCHITECTURE.md §16).
@@ -48,7 +47,9 @@ AutoStatsServer::AutoStatsServer(ServerOptions options)
                                  options_.fsync_max_coalesce_us})
                        : nullptr) {
   resolved_workers_ =
-      options_.num_workers > 0 ? options_.num_workers : NumThreads();
+      options_.num_workers > 0
+          ? options_.num_workers
+          : static_cast<int>(std::thread::hardware_concurrency());
   if (resolved_workers_ < 1) resolved_workers_ = 1;
 
   obs::MetricsRegistry& reg = obs::MetricsRegistry::Instance();
@@ -122,10 +123,8 @@ size_t AutoStatsServer::AddTenant(const TenantConfig& config) {
 void AutoStatsServer::OpenTenant(Tenant* t) {
   t->catalog = std::make_unique<StatsCatalog>(t->db);
   t->optimizer = std::make_unique<Optimizer>(t->db);
-  ManagerPolicy policy = t->config.policy;
-  policy.num_threads = 0;  // probes run inline; never re-enter the pool
   t->manager = std::make_unique<AutoStatsManager>(
-      t->db, t->catalog.get(), t->optimizer.get(), std::move(policy));
+      t->db, t->catalog.get(), t->optimizer.get(), t->config.policy);
   t->processed = 0;
   ResetBreaker(t);
   if (t->config.durability_dir.empty()) return;

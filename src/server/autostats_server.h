@@ -17,7 +17,7 @@
 // Determinism contract (the tentpole invariant, pinned by server_test):
 // identical per-tenant statement streams produce bit-identical per-tenant
 // catalogs AND byte-identical per-tenant traces at any worker count and
-// any ingress interleaving. Three mechanisms make that hold:
+// any ingress interleaving. Two mechanisms make that hold:
 //
 //   1. Per-tenant serialization. Each tenant has a FIFO queue and is
 //      executed by at most one worker at a time (a `scheduled` flag —
@@ -31,11 +31,9 @@
 //      ("tenant=<name>", so fault schedules can target one tenant and
 //      their eligible-hit counters advance in that tenant's own serial
 //      statement order — deterministic firing under concurrency).
-//   3. Inline probes. Statements run under a ParallelInlineScope: the
-//      server's workers ARE the parallelism, so the probe engine runs
-//      serially per statement (bit-identical results by its contract)
-//      instead of funneling every tenant through the shared pool's one
-//      job at a time.
+// Everything a statement does — optimizer probes, MNSA, statistic builds
+// — runs on the worker that applies it: the workers are the library's
+// only parallelism.
 //
 // Durability: with fsync_budget_per_sec > 0 the server creates one
 // FsyncCoordinator (server/fsync_coordinator.h) when it is constructed
@@ -128,8 +126,8 @@
 namespace autostats {
 
 struct ServerOptions {
-  // Worker threads draining tenant queues. 0 uses NumThreads() (the
-  // AUTOSTATS_THREADS / hardware-concurrency setting).
+  // Worker threads draining tenant queues. 0 uses
+  // std::thread::hardware_concurrency().
   int num_workers = 0;
   // Per-tenant admission bound: Submit() blocks (TrySubmit() rejects)
   // while a tenant has this many statements queued.
@@ -185,8 +183,6 @@ struct TenantConfig {
   // must outlive the server.
   Database* db = nullptr;
   // Statistics-management policy for this tenant's AutoStatsManager.
-  // policy.num_threads is ignored: statements run probe-inline (see file
-  // comment) and never re-enter the shared pool.
   ManagerPolicy policy;
   // When non-empty, the tenant's catalog is crash-safe: a private
   // CatalogDurability opens (and recovers) this directory, and the

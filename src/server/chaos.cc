@@ -9,7 +9,6 @@
 
 #include "catalog/database.h"
 #include "common/fault.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/auto_manager.h"
 #include "core/policy.h"
@@ -492,10 +491,7 @@ std::string VictimOracleDump(const ChaosOptions& options, size_t victim,
   ChaosDb t = MakeChaosDb(victim, options.fact_rows);
   StatsCatalog catalog(t.db.get());
   Optimizer optimizer(t.db.get());
-  ManagerPolicy policy = ChaosPolicy();
-  policy.num_threads = 0;
-  AutoStatsManager manager(t.db.get(), &catalog, &optimizer, policy);
-  ParallelInlineScope inline_probes;
+  AutoStatsManager manager(t.db.get(), &catalog, &optimizer, ChaosPolicy());
   uint64_t processed = 0;
   size_t next_fence = 0;
   for (int e = 0; e < options.episodes; ++e) {

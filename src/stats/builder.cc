@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "stats/distinct.h"
 #include "stats/endbiased.h"
 #include "stats/equidepth.h"
@@ -16,10 +15,8 @@ namespace autostats {
 
 namespace {
 
-// Sorts one chunk's keys and run-length encodes them into exact
-// (value, count) runs. Counts are integers held in doubles, so sums over
-// any merge order are exact and the merged distribution is bit-identical
-// to a serial scan's.
+// Sorts the sampled keys and run-length encodes them into exact
+// (value, count) runs.
 std::vector<ValueFreq> SortAndEncode(std::vector<double> keys) {
   std::sort(keys.begin(), keys.end());
   std::vector<ValueFreq> runs;
@@ -31,42 +28,6 @@ std::vector<ValueFreq> SortAndEncode(std::vector<double> keys) {
     }
   }
   return runs;
-}
-
-std::vector<ValueFreq> MergeRuns(const std::vector<ValueFreq>& a,
-                                 const std::vector<ValueFreq>& b) {
-  std::vector<ValueFreq> out;
-  out.reserve(a.size() + b.size());
-  size_t i = 0, j = 0;
-  while (i < a.size() || j < b.size()) {
-    if (j >= b.size() || (i < a.size() && a[i].value < b[j].value)) {
-      out.push_back(a[i++]);
-    } else if (i >= a.size() || b[j].value < a[i].value) {
-      out.push_back(b[j++]);
-    } else {
-      out.push_back(ValueFreq{a[i].value, a[i].freq + b[j].freq});
-      ++i;
-      ++j;
-    }
-  }
-  return out;
-}
-
-// K-way merge of per-chunk runs, reduced pairwise in index order: round r
-// merges parts (2i, 2i+1), each pair into its own slot, so the reduction
-// tree — and therefore the result — is independent of thread count.
-std::vector<ValueFreq> ReduceRuns(std::vector<std::vector<ValueFreq>> parts) {
-  if (parts.empty()) return {};
-  while (parts.size() > 1) {
-    const size_t pairs = parts.size() / 2;
-    std::vector<std::vector<ValueFreq>> next((parts.size() + 1) / 2);
-    ParallelFor(pairs, [&](size_t i) {
-      next[i] = MergeRuns(parts[2 * i], parts[2 * i + 1]);
-    });
-    if (parts.size() % 2 != 0) next.back() = std::move(parts.back());
-    parts = std::move(next);
-  }
-  return std::move(parts.front());
 }
 
 }  // namespace
@@ -91,25 +52,10 @@ std::vector<ValueFreq> ColumnDistribution(const Table& table, ColumnId col,
   const size_t stride = SampleStride(sample_fraction);
   const size_t sampled = SampledRowCount(n, stride);
 
-  std::vector<ValueFreq> runs;
-  if (sampled >= 2 * kScanGrain && NumThreads() > 1) {
-    const size_t chunks = (sampled + kScanGrain - 1) / kScanGrain;
-    std::vector<std::vector<ValueFreq>> partial(chunks);
-    ParallelFor(chunks, [&](size_t ci) {
-      const size_t lo = ci * kScanGrain;
-      const size_t hi = std::min(sampled, lo + kScanGrain);
-      std::vector<double> keys;
-      keys.reserve(hi - lo);
-      for (size_t k = lo; k < hi; ++k) keys.push_back(c.NumericKey(k * stride));
-      partial[ci] = SortAndEncode(std::move(keys));
-    });
-    runs = ReduceRuns(std::move(partial));
-  } else {
-    std::vector<double> keys;
-    keys.reserve(sampled);
-    for (size_t r = 0; r < n; r += stride) keys.push_back(c.NumericKey(r));
-    runs = SortAndEncode(std::move(keys));
-  }
+  std::vector<double> keys;
+  keys.reserve(sampled);
+  for (size_t r = 0; r < n; r += stride) keys.push_back(c.NumericKey(r));
+  std::vector<ValueFreq> runs = SortAndEncode(std::move(keys));
 
   // Scale sampled frequencies back to table size (scale 1 leaves the exact
   // integer counts untouched).
@@ -141,24 +87,14 @@ BuiltStatistic BuildStatisticWithDist(const Database& db,
   AUTOSTATS_CHECK(!columns.empty());
   const Table& table = db.table(columns.front().table);
 
-  // The histogram scan and the prefix-distinct scan read disjoint results
-  // off the same immutable table; run them concurrently.
-  Histogram hist;
-  std::vector<ValueFreq> dist;
-  std::vector<uint64_t> prefix_counts;
-  ParallelInvoke({
-      [&] {
-        dist = ColumnDistribution(table, columns.front().column,
-                                  config.sample_fraction);
-        hist = BucketizeDistribution(dist, config);
-      },
-      [&] {
-        std::vector<ColumnId> cols;
-        cols.reserve(columns.size());
-        for (const ColumnRef& c : columns) cols.push_back(c.column);
-        prefix_counts = CountDistinctPrefixes(table, cols);
-      },
-  });
+  std::vector<ValueFreq> dist = ColumnDistribution(
+      table, columns.front().column, config.sample_fraction);
+  Histogram hist = BucketizeDistribution(dist, config);
+  std::vector<ColumnId> cols;
+  cols.reserve(columns.size());
+  for (const ColumnRef& c : columns) cols.push_back(c.column);
+  const std::vector<uint64_t> prefix_counts =
+      CountDistinctPrefixes(table, cols);
   std::vector<double> prefix_distinct(prefix_counts.begin(),
                                       prefix_counts.end());
 
@@ -168,19 +104,13 @@ BuiltStatistic BuildStatisticWithDist(const Database& db,
   if (config.build_2d_grids && columns.size() == 2) {
     const size_t stride = SampleStride(config.sample_fraction);
     const size_t sampled = SampledRowCount(table.num_rows(), stride);
-    std::vector<std::array<double, 2>> points(sampled);
+    std::vector<std::array<double, 2>> points;
+    points.reserve(sampled);
     const Column& c1 = table.column(columns[0].column);
     const Column& c2 = table.column(columns[1].column);
-    // Each sampled position has a fixed slot, so the chunked fill is
-    // trivially bit-identical to a serial sweep.
-    const size_t chunks = (sampled + kScanGrain - 1) / kScanGrain;
-    ParallelFor(chunks, [&](size_t ci) {
-      const size_t lo = ci * kScanGrain;
-      const size_t hi = std::min(sampled, lo + kScanGrain);
-      for (size_t k = lo; k < hi; ++k) {
-        points[k] = {c1.NumericKey(k * stride), c2.NumericKey(k * stride)};
-      }
-    });
+    for (size_t r = 0; r < table.num_rows(); r += stride) {
+      points.push_back({c1.NumericKey(r), c2.NumericKey(r)});
+    }
     stat.set_grid2d(BuildMhist2D(std::move(points), config.num_buckets));
   }
   return BuiltStatistic{std::move(stat), std::move(dist)};

@@ -25,13 +25,6 @@ struct StatsBuildConfig {
   bool build_2d_grids = false;
 };
 
-// Sampled positions per scan chunk of the flat kernels (ColumnDistribution,
-// CountDistinctPrefixes, the MHIST-2 point sweep). Chunking is a function
-// of the scan length only — never of the thread count — and chunk results
-// are reduced in index order, so merged outputs are bit-identical at any
-// degree of parallelism.
-inline constexpr size_t kScanGrain = size_t{1} << 14;
-
 // Deterministic sampling stride for `sample_fraction` (1 = every row).
 // The single definition shared by the scan kernels and the creation-cost
 // formula, so "rows a build touches" means the same thing everywhere.

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <functional>
 #include <string>
-#include <utility>
 
 #include "common/check.h"
-#include "common/parallel.h"
-#include "stats/builder.h"
 
 namespace autostats {
 
@@ -37,50 +34,12 @@ uint64_t HashRow(const Table& table, const std::vector<ColumnId>& columns,
   return h;
 }
 
-std::vector<uint64_t> MergeUnique(const std::vector<uint64_t>& a,
-                                  const std::vector<uint64_t>& b) {
-  std::vector<uint64_t> out;
-  out.reserve(a.size() + b.size());
-  std::merge(a.begin(), a.end(), b.begin(), b.end(),
-             std::back_inserter(out));
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-// Sorted, deduplicated row hashes of the leading `prefix_len` columns.
-// Flat kernel: per-chunk hash + sort + dedupe, then a pairwise merge
-// reduced in index order — no hash set on the hot path, and the result is
-// a pure function of the table (thread-count independent).
+// Sorted, deduplicated row hashes of the leading `prefix_len` columns:
+// one flat sort + dedupe, no hash set on the hot path.
 std::vector<uint64_t> SortedUniqueHashes(const Table& table,
                                          const std::vector<ColumnId>& columns,
                                          size_t prefix_len) {
   const size_t n = table.num_rows();
-  if (n >= 2 * kScanGrain && NumThreads() > 1) {
-    const size_t chunks = (n + kScanGrain - 1) / kScanGrain;
-    std::vector<std::vector<uint64_t>> partial(chunks);
-    ParallelFor(chunks, [&](size_t ci) {
-      const size_t lo = ci * kScanGrain;
-      const size_t hi = std::min(n, lo + kScanGrain);
-      std::vector<uint64_t>& hashes = partial[ci];
-      hashes.reserve(hi - lo);
-      for (size_t r = lo; r < hi; ++r) {
-        hashes.push_back(HashRow(table, columns, r, prefix_len));
-      }
-      std::sort(hashes.begin(), hashes.end());
-      hashes.erase(std::unique(hashes.begin(), hashes.end()), hashes.end());
-    });
-    std::vector<std::vector<uint64_t>> parts = std::move(partial);
-    while (parts.size() > 1) {
-      const size_t pairs = parts.size() / 2;
-      std::vector<std::vector<uint64_t>> next((parts.size() + 1) / 2);
-      ParallelFor(pairs, [&](size_t i) {
-        next[i] = MergeUnique(parts[2 * i], parts[2 * i + 1]);
-      });
-      if (parts.size() % 2 != 0) next.back() = std::move(parts.back());
-      parts = std::move(next);
-    }
-    return parts.empty() ? std::vector<uint64_t>{} : std::move(parts.front());
-  }
   std::vector<uint64_t> hashes;
   hashes.reserve(n);
   for (size_t r = 0; r < n; ++r) {

@@ -6,6 +6,7 @@
 #include "diag/bench_diff.h"
 
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -102,6 +103,31 @@ TEST_F(BenchDiffTest, RulesGrammar) {
   // An empty rules file would gate nothing and pass everything: rejected.
   WriteFile(Dir() + "/empty.rules", "# no rules\n\n");
   EXPECT_FALSE(ParseRulesFile(Dir() + "/empty.rules").ok());
+}
+
+// A floor that does not parse must fail the rules file, never turn the
+// floor off. (The committed gate.rules parsing is pinned by
+// CommittedRulesAndBaselinesAreConsistent below.)
+TEST_F(BenchDiffTest, MinFloorParsesStrictly) {
+  for (const char* good : {"0.95", "1"}) {
+    WriteFile(Dir() + "/good.rules",
+              std::string("x ratio higher 90 min=") + good + "\n");
+    Result<std::vector<GateRule>> rules =
+        ParseRulesFile(Dir() + "/good.rules");
+    ASSERT_TRUE(rules.ok()) << good << ": " << rules.status().ToString();
+    EXPECT_EQ((*rules)[0].min_value, std::strtod(good, nullptr));
+  }
+  for (const char* bad :
+       {"O.95", "", "abc", "nan", "0.95x", "inf", "1e999", "0x1p0"}) {
+    const std::string path = Dir() + "/bad.rules";
+    WriteFile(path, std::string("x ratio higher 90 min=") + bad + "\n");
+    Result<std::vector<GateRule>> rules = ParseRulesFile(path);
+    ASSERT_FALSE(rules.ok()) << "accepted min=" << bad;
+    EXPECT_EQ(rules.status().message(),
+              path + ":1: bad min value '" + bad + "'");
+  }
+  WriteFile(Dir() + "/twice.rules", "x ratio higher 90 min=1 min=2\n");
+  EXPECT_FALSE(ParseRulesFile(Dir() + "/twice.rules").ok());
 }
 
 TEST_F(BenchDiffTest, GateDirections) {

@@ -1,11 +1,9 @@
-// The parallel probe engine: ParallelFor/ParallelInvoke semantics, the
-// thread-safe Optimize() counter, and the headline determinism contract —
-// Shrinking Set and MNSA produce bit-identical plans, costs, and drop-lists
-// at 1 thread and at N threads.
-#include "common/parallel.h"
-
-#include <atomic>
+// Optimizer thread-safety — exact atomic call counters and bit-identical
+// plan-cache hits under concurrent callers (the contract the server's
+// workers rely on) — and run-to-run determinism of the MNSA + Shrinking
+// Set pipeline.
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,73 +24,21 @@ using testing::MakeJoinQuery;
 using testing::MakeTwoTableDb;
 using testing::TwoTableDb;
 
-// Tests mutate the process-wide thread count; restore it on scope exit so
-// test order doesn't matter.
-class ThreadCountGuard {
- public:
-  ThreadCountGuard() : saved_(NumThreads()) {}
-  ~ThreadCountGuard() { SetNumThreads(saved_); }
-
- private:
-  int saved_;
-};
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  ThreadCountGuard guard;
-  for (int threads : {1, 4}) {
-    SetNumThreads(threads);
-    constexpr size_t kN = 10000;
-    std::vector<std::atomic<int>> counts(kN);
-    ParallelFor(kN, [&](size_t i) {
-      counts[i].fetch_add(1, std::memory_order_relaxed);
+// Calls fn(i) for every i in [0, n) from kThreads concurrent threads,
+// each taking every kThreads-th index.
+constexpr size_t kThreads = 4;
+template <typename Fn>
+void RunConcurrently(size_t n, const Fn& fn) {
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = t; i < n; i += kThreads) fn(i);
     });
-    for (size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(counts[i].load(), 1) << "index " << i << " at " << threads
-                                     << " threads";
-    }
   }
-}
-
-TEST(ParallelForTest, ZeroAndSingleElementRanges) {
-  ThreadCountGuard guard;
-  SetNumThreads(4);
-  int calls = 0;
-  ParallelFor(0, [&](size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  ParallelFor(1, [&](size_t i) {
-    EXPECT_EQ(i, 0u);
-    ++calls;
-  });
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ParallelForTest, NestedCallsRunInlineWithoutDeadlock) {
-  ThreadCountGuard guard;
-  SetNumThreads(4);
-  constexpr size_t kOuter = 16;
-  constexpr size_t kInner = 32;
-  std::atomic<size_t> total{0};
-  ParallelFor(kOuter, [&](size_t) {
-    ParallelFor(kInner, [&](size_t) {
-      total.fetch_add(1, std::memory_order_relaxed);
-    });
-  });
-  EXPECT_EQ(total.load(), kOuter * kInner);
-}
-
-TEST(ParallelInvokeTest, RunsEveryThunk) {
-  ThreadCountGuard guard;
-  SetNumThreads(4);
-  std::atomic<int> a{0}, b{0}, c{0};
-  ParallelInvoke({[&] { a = 1; }, [&] { b = 2; }, [&] { c = 3; }});
-  EXPECT_EQ(a.load(), 1);
-  EXPECT_EQ(b.load(), 2);
-  EXPECT_EQ(c.load(), 3);
+  for (std::thread& th : threads) th.join();
 }
 
 TEST(OptimizerConcurrencyTest, CallCountersAreExactUnderContention) {
-  ThreadCountGuard guard;
-  SetNumThreads(4);
   TwoTableDb t = MakeTwoTableDb();
   OptimizerConfig config;
   config.enable_plan_cache = false;  // every call runs the real pipeline
@@ -101,7 +47,7 @@ TEST(OptimizerConcurrencyTest, CallCountersAreExactUnderContention) {
   const StatsView view(&catalog);
 
   constexpr size_t kProbes = 200;
-  ParallelFor(kProbes, [&](size_t i) {
+  RunConcurrently(kProbes, [&](size_t i) {
     optimizer.Optimize(MakeFilterQuery(t, static_cast<int64_t>(i % 100)),
                        view);
   });
@@ -110,8 +56,6 @@ TEST(OptimizerConcurrencyTest, CallCountersAreExactUnderContention) {
 }
 
 TEST(OptimizerConcurrencyTest, ConcurrentCacheHitsAreBitIdentical) {
-  ThreadCountGuard guard;
-  SetNumThreads(4);
   TwoTableDb t = MakeTwoTableDb();
   Optimizer optimizer(&t.db);
   StatsCatalog catalog(&t.db);
@@ -121,8 +65,8 @@ TEST(OptimizerConcurrencyTest, ConcurrentCacheHitsAreBitIdentical) {
   const OptimizeResult reference = optimizer.Optimize(q, view);
   constexpr size_t kProbes = 64;
   std::vector<OptimizeResult> results(kProbes);
-  ParallelFor(kProbes,
-              [&](size_t i) { results[i] = optimizer.Optimize(q, view); });
+  RunConcurrently(kProbes,
+                  [&](size_t i) { results[i] = optimizer.Optimize(q, view); });
   for (const OptimizeResult& r : results) {
     ASSERT_EQ(r.plan.Signature(), reference.plan.Signature());
     ASSERT_EQ(r.cost, reference.cost);
@@ -132,8 +76,7 @@ TEST(OptimizerConcurrencyTest, ConcurrentCacheHitsAreBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism: the headline acceptance criterion. A full pipeline run at N
-// threads must be bit-identical to the run at 1 thread.
+// Determinism: two runs of the full pipeline are bit-identical.
 // ---------------------------------------------------------------------------
 
 Workload MakeMixedWorkload(const TwoTableDb& t) {
@@ -161,8 +104,7 @@ struct RunSnapshot {
   std::vector<double> plan_costs;
 };
 
-RunSnapshot RunPipelineAt(int threads) {
-  SetNumThreads(threads);
+RunSnapshot RunPipeline() {
   TwoTableDb t = MakeTwoTableDb();
   Optimizer optimizer(&t.db);
   StatsCatalog catalog(&t.db);
@@ -194,58 +136,28 @@ RunSnapshot RunPipelineAt(int threads) {
   return snap;
 }
 
-void ExpectIdentical(const RunSnapshot& serial, const RunSnapshot& parallel) {
-  EXPECT_EQ(serial.mnsa_created, parallel.mnsa_created);
-  EXPECT_EQ(serial.mnsa_dropped, parallel.mnsa_dropped);
-  EXPECT_EQ(serial.mnsa_creation_cost, parallel.mnsa_creation_cost);
-  EXPECT_EQ(serial.mnsa_optimizer_calls, parallel.mnsa_optimizer_calls);
-  EXPECT_EQ(serial.mnsa_converged, parallel.mnsa_converged);
-  EXPECT_EQ(serial.essential, parallel.essential);
-  EXPECT_EQ(serial.removed, parallel.removed);
-  EXPECT_EQ(serial.shrink_optimizer_calls, parallel.shrink_optimizer_calls);
-  EXPECT_EQ(serial.active_keys, parallel.active_keys);
-  EXPECT_EQ(serial.plan_signatures, parallel.plan_signatures);
-  EXPECT_EQ(serial.plan_costs, parallel.plan_costs);  // bit-exact doubles
+void ExpectIdentical(const RunSnapshot& first, const RunSnapshot& second) {
+  EXPECT_EQ(first.mnsa_created, second.mnsa_created);
+  EXPECT_EQ(first.mnsa_dropped, second.mnsa_dropped);
+  EXPECT_EQ(first.mnsa_creation_cost, second.mnsa_creation_cost);
+  EXPECT_EQ(first.mnsa_optimizer_calls, second.mnsa_optimizer_calls);
+  EXPECT_EQ(first.mnsa_converged, second.mnsa_converged);
+  EXPECT_EQ(first.essential, second.essential);
+  EXPECT_EQ(first.removed, second.removed);
+  EXPECT_EQ(first.shrink_optimizer_calls, second.shrink_optimizer_calls);
+  EXPECT_EQ(first.active_keys, second.active_keys);
+  EXPECT_EQ(first.plan_signatures, second.plan_signatures);
+  EXPECT_EQ(first.plan_costs, second.plan_costs);  // bit-exact doubles
 }
 
-TEST(DeterminismTest, MnsaAndShrinkingSetIdenticalAtOneAndFourThreads) {
-  ThreadCountGuard guard;
-  const RunSnapshot serial = RunPipelineAt(1);
-  const RunSnapshot parallel = RunPipelineAt(4);
-  ExpectIdentical(serial, parallel);
+TEST(DeterminismTest, RepeatedRunsAreStable) {
+  const RunSnapshot first = RunPipeline();
+  const RunSnapshot second = RunPipeline();
+  ExpectIdentical(first, second);
   // The workload must actually exercise both phases for the comparison to
   // mean anything.
-  EXPECT_FALSE(serial.mnsa_created.empty());
-  EXPECT_GT(serial.shrink_optimizer_calls, 0);
-}
-
-TEST(DeterminismTest, RepeatedParallelRunsAreStable) {
-  ThreadCountGuard guard;
-  const RunSnapshot first = RunPipelineAt(4);
-  const RunSnapshot second = RunPipelineAt(4);
-  ExpectIdentical(first, second);
-}
-
-TEST(DeterminismTest, ShrinkingSetIdenticalFromSeededCatalog) {
-  // Shrinking Set alone, from a deliberately over-provisioned statistics
-  // set: every single-column candidate of the workload's tables.
-  ThreadCountGuard guard;
-  auto run = [](int threads) {
-    SetNumThreads(threads);
-    TwoTableDb t = MakeTwoTableDb();
-    Optimizer optimizer(&t.db);
-    StatsCatalog catalog(&t.db);
-    for (const ColumnRef& col : {t.fact_fk, t.fact_val, t.fact_grp,
-                                 t.fact_flag, t.dim_pk, t.dim_attr}) {
-      catalog.CreateStatistic({col});
-    }
-    const Workload w = MakeMixedWorkload(t);
-    const ShrinkingSetResult r =
-        RunShrinkingSet(optimizer, &catalog, w, ShrinkingSetConfig{});
-    return std::make_tuple(r.essential, r.removed, r.optimizer_calls,
-                           catalog.ActiveKeys());
-  };
-  EXPECT_EQ(run(1), run(4));
+  EXPECT_FALSE(first.mnsa_created.empty());
+  EXPECT_GT(first.shrink_optimizer_calls, 0);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 //     valid statement-boundary prefix of the no-crash run (bit-identical
 //     entries, matching stats_version and clock), fence every table with
 //     unconsumed modifications, and the resumed run must converge to the
-//     bit-identical no-crash final catalog — at 1, 2, and 4 threads.
+//     bit-identical no-crash final catalog.
 //  3. Torn tails and mid-journal corruption truncate at the first bad
 //     record instead of aborting; a corrupted newest snapshot falls back
 //     to an older one and the replay gap fences the whole catalog.
@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "common/fault.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/auto_manager.h"
 #include "executor/dml_exec.h"
@@ -288,18 +287,12 @@ void CrashCycle(const Workload& w, const Baseline& base, const char* point,
 
 class DurabilityTest : public ::testing::Test {
  protected:
-  void SetUp() override { saved_threads_ = NumThreads(); }
-  void TearDown() override {
-    FaultInjector::Instance().Reset();
-    SetNumThreads(saved_threads_);
-  }
-  int saved_threads_ = 1;
+  void TearDown() override { FaultInjector::Instance().Reset(); }
 };
 
 // --- 1. Round trip --------------------------------------------------------
 
 TEST_F(DurabilityTest, CleanCloseReopensBitIdentical) {
-  SetNumThreads(1);
   const std::string dir = FreshDir("roundtrip");
   TwoTableDb t = MakeTwoTableDb(kFactRows, 100);
   const Workload w = CrashWorkload(t);
@@ -345,7 +338,6 @@ TEST_F(DurabilityTest, CheckpointPrunesSnapshotsAndSwapsJournal) {
 // --- 2. Crash-property sweep ----------------------------------------------
 
 TEST_F(DurabilityTest, CrashSweepAppendPoint) {
-  SetNumThreads(1);
   TwoTableDb t = MakeTwoTableDb(kFactRows, 100);
   const Workload w = CrashWorkload(t);
   const Baseline base = ComputeBaseline(w);
@@ -359,7 +351,6 @@ TEST_F(DurabilityTest, CrashSweepAppendPoint) {
 }
 
 TEST_F(DurabilityTest, CrashSweepFsyncAndRenamePoints) {
-  SetNumThreads(1);
   TwoTableDb t = MakeTwoTableDb(kFactRows, 100);
   const Workload w = CrashWorkload(t);
   const Baseline base = ComputeBaseline(w);
@@ -373,19 +364,6 @@ TEST_F(DurabilityTest, CrashSweepFsyncAndRenamePoints) {
   // rename pokes: two per checkpoint (snapshot publish, journal swap).
   for (int64_t nth : {1, 2, 3, 4}) {
     CrashCycle(w, base, faults::kPersistenceRename, nth, 0);
-  }
-}
-
-TEST_F(DurabilityTest, CrashSweepIsThreadCountIndependent) {
-  for (int threads : {2, 4}) {
-    SetNumThreads(threads);
-    TwoTableDb t = MakeTwoTableDb(kFactRows, 100);
-    const Workload w = CrashWorkload(t);
-    const Baseline base = ComputeBaseline(w);
-    for (int64_t nth : {2, 5}) {
-      CrashCycle(w, base, faults::kPersistenceAppend, nth, 9);
-    }
-    CrashCycle(w, base, faults::kPersistenceFsync, 4, 0);
   }
 }
 
@@ -903,7 +881,6 @@ TEST_F(HostilePayloadTest, SeededMutationsAreLoadedOrRejectedNeverFatal) {
 // + live journal records) in the working directory; the `stats_fsck_scan`
 // ctest step runs the offline checker over it and must exit 0.
 TEST_F(DurabilityTest, WritesCleanArtifactsForFsck) {
-  SetNumThreads(1);
   const std::string dir = "durability_artifacts";
   std::error_code ec;
   fs::remove_all(dir, ec);

@@ -1,7 +1,6 @@
 // Deterministic failure-schedule harness for the fault-injection layer
 // (common/fault.h) and the degradation ladder it drives:
-//  1. Zero-cost when disabled: the no-fault run is bit-identical at any
-//     thread count (reports and final catalog).
+//  1. Zero-cost when disabled: the no-fault run reports no failures.
 //  2. Fail-Nth sweep: replay the same seeded workload under fail-Nth
 //     schedules at every injection point; no crash, the retry counters
 //     match the schedule's fires exactly, and once retries succeed the
@@ -9,7 +8,8 @@
 //  3. Persistent failures degrade gracefully: queries keep executing on
 //     magic/stale statistics, DML is skipped, nothing aborts.
 //  4. Honest call accounting: probes aborted by injected faults never
-//     reach Optimizer::num_calls().
+//     reach Optimizer::num_calls(), and MNSA / Shrinking Set count every
+//     aborted and successful probe when a fault hits them mid-run.
 #include "common/fault.h"
 
 #include <gtest/gtest.h>
@@ -23,8 +23,9 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.h"
 #include "core/auto_manager.h"
+#include "core/mnsa.h"
+#include "core/shrinking_set.h"
 #include "stats/durability.h"
 #include "stats/stats_catalog.h"
 #include "tests/test_util.h"
@@ -110,32 +111,18 @@ RunArtifacts RunManagedWorkload() {
 
 class FaultInjectionTest : public ::testing::Test {
  protected:
-  void SetUp() override { saved_threads_ = NumThreads(); }
-  void TearDown() override {
-    FaultInjector::Instance().Reset();
-    SetNumThreads(saved_threads_);
-  }
-  int saved_threads_ = 1;
+  void TearDown() override { FaultInjector::Instance().Reset(); }
 };
 
 // --- 1. Zero-cost when disabled ---
 
-TEST_F(FaultInjectionTest, NoFaultRunIsBitIdenticalAtAnyThreadCount) {
-  SetNumThreads(1);
-  const RunArtifacts serial = RunManagedWorkload();
-  EXPECT_EQ(serial.report.builds_failed, 0);
-  EXPECT_EQ(serial.report.build_retries, 0);
-  EXPECT_EQ(serial.report.probes_aborted, 0);
-  EXPECT_EQ(serial.report.degraded_queries, 0);
-  EXPECT_EQ(serial.report.degraded_dml, 0);
-  for (int threads : {2, 4}) {
-    SetNumThreads(threads);
-    const RunArtifacts parallel = RunManagedWorkload();
-    EXPECT_EQ(FormatReport(parallel.report), FormatReport(serial.report))
-        << "threads=" << threads;
-    EXPECT_EQ(parallel.catalog, serial.catalog) << "threads=" << threads;
-    EXPECT_EQ(parallel.fact_rows, serial.fact_rows);
-  }
+TEST_F(FaultInjectionTest, NoFaultRunReportsNoFailures) {
+  const RunArtifacts run = RunManagedWorkload();
+  EXPECT_EQ(run.report.builds_failed, 0);
+  EXPECT_EQ(run.report.build_retries, 0);
+  EXPECT_EQ(run.report.probes_aborted, 0);
+  EXPECT_EQ(run.report.degraded_queries, 0);
+  EXPECT_EQ(run.report.degraded_dml, 0);
 }
 
 // --- 2. Fail-Nth schedule sweep over every injection point ---
@@ -366,6 +353,117 @@ TEST_F(FaultInjectionTest, LatencySpikeChangesNothingButIsCounted) {
   EXPECT_EQ(stats.fires, 3);
   EXPECT_EQ(FormatReport(run.report), FormatReport(baseline.report));
   EXPECT_EQ(run.catalog, baseline.catalog);
+}
+
+// --- Probe faults inside MNSA and Shrinking Set ---
+
+FaultSchedule ProbeWindow(int64_t nth, int64_t count) {
+  FaultSchedule schedule;
+  schedule.nth = nth;
+  schedule.count = count;
+  return schedule;
+}
+
+// RunMnsa with drop detection on an empty catalog under `schedule` at
+// optimizer.probe; returns the result and reports the point's hit count.
+MnsaResult MnsaUnderProbeFault(const FaultSchedule& schedule,
+                               int64_t* probe_hits) {
+  TwoTableDb t = MakeTwoTableDb(4000, 100);
+  Optimizer optimizer(&t.db);
+  StatsCatalog catalog(&t.db);
+  MnsaConfig config;
+  config.drop_detection = true;
+  FaultInjector::Instance().Arm(faults::kOptimizerProbe, schedule);
+  const MnsaResult r = RunMnsa(optimizer, &catalog, MakeJoinQuery(t), config);
+  *probe_hits =
+      FaultInjector::Instance().PointStats(faults::kOptimizerProbe).hits;
+  FaultInjector::Instance().Reset();
+  return r;
+}
+
+TEST_F(FaultInjectionTest, MnsaProbesBothTwinsBeforeGivingUp) {
+  // Hit 1 is the initial plan; hits 2-4 exhaust P_low's three attempts.
+  // P_high still runs (hit 5) before the failed pair stops the sweep.
+  int64_t hits = 0;
+  const MnsaResult r = MnsaUnderProbeFault(ProbeWindow(2, 3), &hits);
+  EXPECT_EQ(r.optimizer_calls, 2);
+  EXPECT_EQ(r.probes_aborted, 3);
+  EXPECT_EQ(hits, 5);
+  EXPECT_TRUE(r.degraded);
+  EXPECT_FALSE(r.converged);
+  EXPECT_TRUE(r.created.empty());
+}
+
+TEST_F(FaultInjectionTest, MnsaStopsAtALaterRoundsFailedTwin) {
+  // Round 2's P_low exhausts its retries after round 1 built statistics.
+  int64_t hits = 0;
+  const MnsaResult r = MnsaUnderProbeFault(ProbeWindow(5, 3), &hits);
+  EXPECT_EQ(r.optimizer_calls, 5);
+  EXPECT_EQ(r.probes_aborted, 3);
+  EXPECT_TRUE(r.degraded);
+  EXPECT_EQ(r.created.size(), 2u);
+}
+
+// RunShrinkingSet over the six single-column statistics of the two-table
+// database, with `schedule` armed at optimizer.probe (nullptr: no fault).
+ShrinkingSetResult ShrinkUnderProbeFault(const FaultSchedule* schedule) {
+  TwoTableDb t = MakeTwoTableDb(4000, 100);
+  Optimizer optimizer(&t.db);
+  StatsCatalog catalog(&t.db);
+  for (const ColumnRef& col : {t.fact_fk, t.fact_val, t.fact_grp,
+                               t.fact_flag, t.dim_pk, t.dim_attr}) {
+    catalog.CreateStatistic({col});
+  }
+  Workload w;
+  w.AddQuery(MakeJoinQuery(t, 30));
+  w.AddQuery(MakeJoinQuery(t, 70));
+  w.AddQuery(MakeFilterQuery(t, 20));
+  w.AddQuery(MakeFilterQuery(t, 80, /*group=*/true));
+  if (schedule != nullptr) {
+    FaultInjector::Instance().Arm(faults::kOptimizerProbe, *schedule);
+  }
+  const ShrinkingSetResult r =
+      RunShrinkingSet(optimizer, &catalog, w, ShrinkingSetConfig{});
+  FaultInjector::Instance().Reset();
+  return r;
+}
+
+TEST_F(FaultInjectionTest, ShrinkingSetKeepsEveryRelevantStatWhenBlind) {
+  // Every baseline exhausts its retries (4 queries x 3 attempts), so each
+  // statistic relevant to some query is kept unprobed; the two relevant
+  // to none are still removed.
+  FaultSchedule forever;
+  forever.count = kForever;
+  const ShrinkingSetResult r = ShrinkUnderProbeFault(&forever);
+  EXPECT_EQ(r.optimizer_calls, 0);
+  EXPECT_EQ(r.probes_aborted, 12);
+  EXPECT_TRUE(r.degraded);
+  EXPECT_EQ(r.essential.size(), 4u);
+  EXPECT_EQ(r.removed.size(), 2u);
+}
+
+TEST_F(FaultInjectionTest, ShrinkingSetFailedAlternateProbeKeepsTheStat) {
+  const FaultSchedule window = ProbeWindow(6, 3);
+  const ShrinkingSetResult r = ShrinkUnderProbeFault(&window);
+  EXPECT_EQ(r.optimizer_calls, 12);
+  EXPECT_EQ(r.probes_aborted, 3);
+  EXPECT_TRUE(r.degraded);
+  EXPECT_EQ(r.essential.size(), 1u);
+}
+
+TEST_F(FaultInjectionTest, ShrinkingSetRetriedProbeMatchesNoFaultRun) {
+  const ShrinkingSetResult clean = ShrinkUnderProbeFault(nullptr);
+  EXPECT_EQ(clean.optimizer_calls, 13);
+  EXPECT_EQ(clean.removed.size(), 6u);
+  EXPECT_EQ(clean.probes_aborted, 0);
+
+  const FaultSchedule once = ProbeWindow(3, 1);
+  const ShrinkingSetResult r = ShrinkUnderProbeFault(&once);
+  EXPECT_EQ(r.optimizer_calls, clean.optimizer_calls);
+  EXPECT_EQ(r.essential, clean.essential);
+  EXPECT_EQ(r.removed, clean.removed);
+  EXPECT_EQ(r.probes_aborted, 1);
+  EXPECT_FALSE(r.degraded);
 }
 
 // --- 4. Honest optimizer-call accounting (the probe counter regression) ---

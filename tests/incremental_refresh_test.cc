@@ -6,20 +6,18 @@
 //  2. Exactness: under full-scan builds an incremental refresh produces a
 //     statistic bit-identical to a full rebuild of the mutated table —
 //     insert-only and mixed insert/update/delete streams alike.
-//  3. Determinism: the flat scan kernels and the merge path produce
-//     bit-identical statistics at 1, 2 and 4 threads.
-//  4. Degradation: a stats.delta fault poisons the stream and downgrades
+//  3. Degradation: a stats.delta fault poisons the stream and downgrades
 //     the next refresh to a full rescan; a faulted merge falls back to the
 //     stale statistic and the retry rescans — both recover to the exact
 //     catalog.
-//  5. Plan-cache friendliness: a refresh that does not change the
+//  4. Plan-cache friendliness: a refresh that does not change the
 //     statistic leaves stats_version untouched.
-//  6. Delta-consumption fencing: a statistic created while its table has
+//  5. Delta-consumption fencing: a statistic created while its table has
 //     unconsumed deltas, or resurrected after a refresh round consumed
 //     the delta without it, rescans once instead of merging modifications
 //     its base already includes (or misses); bases that stayed exact
 //     through a partially-failed round keep merging.
-//  7. Persistence: a catalog reloaded from a catalog file comes back
+//  6. Persistence: a catalog reloaded from a catalog file comes back
 //     fenced (its exact bases missed the DML since the save), so the first
 //     triggered refresh rescans and later ones merge — both exact.
 #include <gtest/gtest.h>
@@ -31,7 +29,6 @@
 #include <vector>
 
 #include "common/fault.h"
-#include "common/parallel.h"
 #include "executor/dml_exec.h"
 #include "stats/builder.h"
 #include "stats/delta_sketch.h"
@@ -126,12 +123,7 @@ UpdateTriggerPolicy MergeAlways() {
 
 class IncrementalRefreshTest : public ::testing::Test {
  protected:
-  void SetUp() override { saved_threads_ = NumThreads(); }
-  void TearDown() override {
-    FaultInjector::Instance().Reset();
-    SetNumThreads(saved_threads_);
-  }
-  int saved_threads_ = 1;
+  void TearDown() override { FaultInjector::Instance().Reset(); }
 };
 
 // --- 1. Sketch and store units ---
@@ -296,54 +288,7 @@ TEST_F(IncrementalRefreshTest, IncrementalRefreshIsFarCheaperThanRebuild) {
   EXPECT_GE(full / incremental, 5.0);
 }
 
-// --- 3. Thread-count determinism of the flat kernels and the merge ---
-
-TEST_F(IncrementalRefreshTest, PipelineIsBitIdenticalAcrossThreadCounts) {
-  // Large enough that the parallel scan kernels engage (>= 2 * kScanGrain
-  // sampled rows) — at small sizes the kernels are serial by construction.
-  const size_t kRows = 3 * (2 * kScanGrain);
-  std::vector<std::string> dumps;
-  for (int threads : {1, 2, 4}) {
-    SetNumThreads(threads);
-    TwoTableDb t = MakeTwoTableDb(kRows, 100);
-    StatsCatalog catalog(&t.db);
-    ASSERT_TRUE(catalog.TryCreateStatistic({t.fact_val}).ok());
-    ASSERT_TRUE(catalog.TryCreateStatistic({t.fact_fk, t.fact_grp}).ok());
-    size_t modified = 0;
-    for (const DmlStatement& dml :
-         {Insert(t.fact, 500, 13), Update(t.fact, t.fact_val.column, 200, 17),
-          Delete(t.fact, 100, 23)}) {
-      Result<size_t> applied =
-          TryApplyDml(&t.db, dml, catalog.mutable_deltas());
-      ASSERT_TRUE(applied.ok());
-      modified += *applied;
-    }
-    catalog.RecordModifications(t.fact, modified);
-    EXPECT_GT(catalog.RefreshIfTriggered(MergeAlways()), 0.0);
-    dumps.push_back(DumpStat(*catalog.Find(MakeStatKey({t.fact_val}))) +
-                    DumpStat(*catalog.Find(
-                        MakeStatKey({t.fact_fk, t.fact_grp}))));
-  }
-  EXPECT_EQ(dumps[0], dumps[1]);
-  EXPECT_EQ(dumps[0], dumps[2]);
-}
-
-TEST_F(IncrementalRefreshTest, GridBuildsAreBitIdenticalAcrossThreadCounts) {
-  const size_t kRows = 2 * (2 * kScanGrain);
-  StatsBuildConfig config;
-  config.build_2d_grids = true;
-  std::vector<std::string> dumps;
-  for (int threads : {1, 2, 4}) {
-    SetNumThreads(threads);
-    TwoTableDb t = MakeTwoTableDb(kRows, 100);
-    dumps.push_back(
-        DumpStat(BuildStatistic(t.db, {t.fact_val, t.fact_grp}, config)));
-  }
-  EXPECT_EQ(dumps[0], dumps[1]);
-  EXPECT_EQ(dumps[0], dumps[2]);
-}
-
-// --- 4. Degradation: poisoned deltas and faulted merges recover ---
+// --- 3. Degradation: poisoned deltas and faulted merges recover ---
 
 TEST_F(IncrementalRefreshTest, DeltaFaultPoisonsStreamAndRescanRecovers) {
   TwoTableDb t = MakeTwoTableDb(4000, 100);
@@ -421,7 +366,7 @@ TEST_F(IncrementalRefreshTest, FaultedMergeFallsBackStaleThenRescans) {
             FullRebuildDump(t.db, {t.fact_val}));
 }
 
-// --- 5. No-op refreshes leave stats_version (and so the PlanCache) alone ---
+// --- 4. No-op refreshes leave stats_version (and so the PlanCache) alone ---
 
 TEST_F(IncrementalRefreshTest, NoOpMergeDoesNotBumpStatsVersion) {
   TwoTableDb t = MakeTwoTableDb(4000, 100);
@@ -479,7 +424,7 @@ TEST_F(IncrementalRefreshTest, NoOpEmptyMergeDoesNotBumpStatsVersion) {
       catalog.FindEntry(MakeStatKey({t.fact_val}))->base_dist.empty());
 }
 
-// --- 6. Delta-consumption fencing ---
+// --- 5. Delta-consumption fencing ---
 
 TEST_F(IncrementalRefreshTest, CreateAfterUnconsumedDmlDoesNotDoubleCount) {
   TwoTableDb t = MakeTwoTableDb(4000, 100);
@@ -639,7 +584,7 @@ TEST_F(IncrementalRefreshTest, ResurrectionWithUnconsumedDeltaStillMerges) {
             FullRebuildDump(t.db, {t.fact_val}));
 }
 
-// --- 7. Persistence round trips ---
+// --- 6. Persistence round trips ---
 
 TEST_F(IncrementalRefreshTest, ReloadedCatalogRefreshEqualsFullRebuild) {
   const std::string path = "incremental_reload_test.catalog";

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "common/fault.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "obs/span.h"
 #include "obs/trace.h"
@@ -794,10 +793,8 @@ TEST_F(ServerTest, CrashMidCrossTenantFsyncBatchRecoversPerTenant) {
     Optimizer oracle_optimizer(&ot.db);
     ManagerPolicy oracle_policy = TenantPolicy();
     oracle_policy.durability_checkpoint_every = 0;
-    oracle_policy.num_threads = 0;
     AutoStatsManager oracle(&ot.db, &oracle_catalog, &oracle_optimizer,
                             oracle_policy);
-    ParallelInlineScope inline_probes;
     for (uint64_t s = 0; s < info.last_lsn; ++s) {
       oracle.Process(streams[i].statements()[s]);
     }
@@ -1220,11 +1217,8 @@ TEST_F(ServerTest, LifecycleMidStreamDeterministicAcrossWorkers) {
     const Workload stream = TenantStream(ot, i);
     StatsCatalog oracle_catalog(&ot.db);
     Optimizer oracle_optimizer(&ot.db);
-    ManagerPolicy oracle_policy = TenantPolicy();
-    oracle_policy.num_threads = 0;
     AutoStatsManager oracle(&ot.db, &oracle_catalog, &oracle_optimizer,
-                            oracle_policy);
-    ParallelInlineScope inline_probes;
+                            TenantPolicy());
     for (const Statement& s : stream.statements()) oracle.Process(s);
     EXPECT_EQ(strip_pending(ref[i].dump),
               strip_pending(CatalogCanonicalDump(oracle_catalog)))
