@@ -22,8 +22,6 @@ struct ExhibitTotals {
   double create_all_cost = 0.0;
   double mnsa_cost = 0.0;
   int64_t optimizer_calls = 0;
-  int64_t cache_hits = 0;
-  int64_t real_calls = 0;
 };
 
 ExhibitTotals RunExhibit(bool single_column_only) {
@@ -72,8 +70,6 @@ ExhibitTotals RunExhibit(bool single_column_only) {
       totals.mnsa_cost += mnsa_cost;
       totals.optimizer_calls += r.optimizer_calls;
     }
-    totals.cache_hits += optimizer.num_cache_hits();
-    totals.real_calls += optimizer.num_real_calls();
   }
   return totals;
 }
@@ -102,18 +98,6 @@ int main() {
   json.Add("single_column_wall_ms", single_wall_ms);
   json.Add("optimizer_calls",
            static_cast<double>(multi.optimizer_calls + single.optimizer_calls));
-  const double calls =
-      static_cast<double>(multi.cache_hits + single.cache_hits +
-                          multi.real_calls + single.real_calls);
-  json.Add("cache_hits",
-           static_cast<double>(multi.cache_hits + single.cache_hits));
-  json.Add("real_calls",
-           static_cast<double>(multi.real_calls + single.real_calls));
-  json.Add("cache_hit_ratio",
-           calls > 0 ? static_cast<double>(multi.cache_hits +
-                                           single.cache_hits) /
-                           calls
-                     : 0.0);
   json.Add("creation_reduction_pct",
            (multi.create_all_cost - multi.mnsa_cost) / multi.create_all_cost *
                100.0);

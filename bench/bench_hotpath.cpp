@@ -5,16 +5,17 @@
 //
 //   1. Deterministic counts and checksums — selectivity checksums over a
 //      fixed probe grid (locking in the kernels' bit-identical contract),
-//      plan-cache hit accounting, WAL fsync/append counts of the
+//      the join enumerator's bit-for-bit agreement with its reference,
+//      optimizer call accounting, WAL fsync/append counts of the
 //      per-statement commit path, and the workload's executed cost.
 //      Gated exactly: any drift on any machine is a semantic change, not
 //      noise.
 //
 //   2. In-process old-vs-new speedup ratios — the pre-optimization
-//      kernels (linear bucket scan, string-render key hashing) are kept
-//      here as reference implementations and timed against the shipped
-//      ones in the same process. Ratios are robust to machine speed, so
-//      they gate loosely (they still move with cache sizes and
+//      kernels (linear bucket scan, the tree-building join enumerator)
+//      are kept as reference implementations and timed against the
+//      shipped ones in the same process. Ratios are robust to machine
+//      speed, so they gate loosely (they still move with cache sizes and
 //      compilers, hence wide tolerances + absolute floors).
 //
 //   3. Absolute latencies and the PR 5 metrics percentiles — recorded for
@@ -31,11 +32,12 @@
 
 #include "bench/bench_util.h"
 #include "core/auto_manager.h"
-#include "optimizer/plan_cache.h"
 #include "stats/durability.h"
 #include "stats/histogram.h"
 #include "stats/maxdiff.h"
+#include "tests/reference_enumerator.h"
 #include "tests/test_util.h"
+#include "tpcd/tuning.h"
 
 namespace autostats::bench {
 namespace {
@@ -120,39 +122,6 @@ double RefSelectivityRange(const Histogram& h, double lo, bool lo_inclusive,
     sel -= RefSelectivityEq(h, hi);
   }
   return std::clamp(sel, 0.0, 1.0);
-}
-
-// The replaced MakeKey: renders the overrides to a string signature, then
-// hashes the key by re-hashing all three strings (the old
-// PlanCacheKeyHash), which is what every Lookup/Insert used to pay.
-size_t RefKeyHash(const Query& query, const StatsView& view,
-                  const SelectivityOverrides& overrides) {
-  const uint64_t catalog_uid = view.catalog().uid();
-  const uint64_t stats_version = view.catalog().stats_version();
-  const uint64_t schema_version = view.catalog().db().schema_version();
-  const std::string query_fingerprint = query.Fingerprint();
-  const std::string view_signature = view.Signature();
-  std::vector<std::pair<SelVar, double>> sorted(overrides.begin(),
-                                                overrides.end());
-  std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
-    if (a.first.kind != b.first.kind) return a.first.kind < b.first.kind;
-    return a.first.index < b.first.index;
-  });
-  std::string overrides_signature;
-  for (const auto& [var, value] : sorted) {
-    overrides_signature += StrFormat(
-        "%d:%d=%.17g;", static_cast<int>(var.kind), var.index, value);
-  }
-  const std::hash<std::string> h;
-  size_t seed = std::hash<uint64_t>{}(catalog_uid * 0x9e3779b97f4a7c15ULL ^
-                                      stats_version ^ (schema_version << 32));
-  const auto mix = [&seed](size_t v) {
-    seed ^= v + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2);
-  };
-  mix(h(query_fingerprint));
-  mix(h(view_signature));
-  mix(h(overrides_signature));
-  return seed;
 }
 
 // --- Section 1: histogram kernels -----------------------------------------
@@ -246,42 +215,76 @@ void HistogramSection(BenchJson* json) {
             range_new_ms > 0 ? range_old_ms / range_new_ms : 0.0);
 }
 
-// --- Section 2: plan-cache keys and probe accounting ----------------------
+// --- Section 2: join enumeration -------------------------------------------
 
-void PlanCacheSection(BenchJson* json) {
+void EnumeratorSection(BenchJson* json) {
+  // Complex Rags queries (up to 8 tables) on the tuned TPC-D mix, planned
+  // on an empty catalog: magic numbers everywhere, both index paths in
+  // play. Each query's cardinality model is built once and shared by the
+  // two enumerators, so the ratio times enumeration alone.
+  Database db = tpcd::BuildTpcdVariant("TPCD_MIX", ScaleFactor(), 42);
+  tpcd::ApplyTunedIndexes(&db);
+  rags::RagsConfig rc;
+  rc.num_statements = 100;
+  rc.complexity = rags::Complexity::kComplex;
+  rc.join_edges = tpcd::TpcdForeignKeys(db);
+  const Workload w = rags::Generate(db, rc);
+  const std::vector<const Query*> queries = w.Queries();
+  StatsCatalog catalog(&db);
+  const Optimizer optimizer(&db);
+  const OptimizerConfig& config = optimizer.config();
+  std::vector<SelectivityAnalysis> sels;
+  for (const Query* q : queries) {
+    sels.push_back(AnalyzeSelectivities(db, *q, StatsView(&catalog),
+                                        config.magic, {}, config.epsilon));
+  }
+  std::vector<CardinalityModel> cards;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    cards.emplace_back(&db, queries[i], &sels[i]);
+  }
+  auto enumerate = [&](size_t i, bool reference) {
+    return reference
+               ? testing::ReferenceEnumerateJoins(db, *queries[i], cards[i],
+                                                  optimizer.cost_model(),
+                                                  config.enumerator)
+               : EnumerateJoins(db, *queries[i], cards[i],
+                                optimizer.cost_model(), config.enumerator);
+  };
+
+  bool matches = true;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    matches = matches && testing::PlanDiff(*enumerate(i, false).root,
+                                           *enumerate(i, true).root)
+                             .empty();
+  }
+  json->Add("enumerate_ref_matches", matches ? 1.0 : 0.0);
+
+  volatile double sink = 0.0;
+  auto sweep = [&](bool reference) {
+    return BestMs([&] {
+      double s = 0.0;
+      for (size_t i = 0; i < queries.size(); ++i) {
+        s += enumerate(i, reference).cost();
+      }
+      sink = s;
+    });
+  };
+  const double new_ms = sweep(false);
+  const double old_ms = sweep(true);
+  (void)sink;
+  json->Add("enumerate_us_per_call",
+            new_ms * 1e3 / static_cast<double>(queries.size()));
+  json->Add("enumerate_speedup", new_ms > 0 ? old_ms / new_ms : 0.0);
+}
+
+// --- Section 3: optimizer call accounting ----------------------------------
+
+void ProbeSection(BenchJson* json) {
   TwoTableDb t = MakeTwoTableDb(4000, 100);
   StatsCatalog catalog(&t.db);
-  const StatsView view(&catalog);
-  const Query query = MakeJoinQuery(t, 60);
 
-  SelectivityOverrides overrides;
-  for (int i = 0; i < 6; ++i) {
-    overrides[{SelVar::Kind::kFilter, i}] = 0.125 + 0.1 * i;
-  }
-  overrides[{SelVar::Kind::kJoin, 0}] = 0.01;
-
-  constexpr int kKeys = 20000;
-  volatile uint64_t sink = 0;
-  const double new_ms = BestMs([&] {
-    uint64_t acc = 0;
-    for (int i = 0; i < kKeys; ++i) {
-      acc ^= PlanCache::MakeKey(query, view, overrides).hash;
-    }
-    sink = acc;
-  });
-  const double old_ms = BestMs([&] {
-    uint64_t acc = 0;
-    for (int i = 0; i < kKeys; ++i) {
-      acc ^= static_cast<uint64_t>(RefKeyHash(query, view, overrides));
-    }
-    sink = acc;
-  });
-  (void)sink;
-  json->Add("key_hash_ns_per_key", new_ms * 1e6 / kKeys);
-  json->Add("key_hash_speedup", new_ms > 0 ? old_ms / new_ms : 0.0);
-
-  // Deterministic probe accounting: three identical sweeps over the
-  // workload — round 1 misses, rounds 2-3 hit. The counts gate exactly.
+  // Deterministic call accounting: three identical sweeps over the
+  // workload. The counts gate exactly.
   Optimizer optimizer(&t.db);
   Workload w("hotpath");
   w.AddQuery(MakeFilterQuery(t, 30));
@@ -298,7 +301,7 @@ void PlanCacheSection(BenchJson* json) {
   json->Add("exec_cost_t1", WorkloadExecCost(t.db, catalog, optimizer, w));
 }
 
-// --- Section 3: WAL commit path -------------------------------------------
+// --- Section 4: WAL commit path -------------------------------------------
 
 Workload WalWorkload(const TwoTableDb& t) {
   Workload w("wal");
@@ -401,7 +404,8 @@ int main() {
   std::setlocale(LC_NUMERIC, "C");  // %.17g must not localize decimal points
   BenchJson json("hotpath");
   HistogramSection(&json);
-  PlanCacheSection(&json);
+  EnumeratorSection(&json);
+  ProbeSection(&json);
   WalSection(&json);
   if (!json.Write()) return 1;
   std::printf("bench_hotpath: BENCH_hotpath.json written\n");

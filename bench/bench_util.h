@@ -19,7 +19,6 @@
 #include "core/report.h"
 #include "executor/executor.h"
 #include "optimizer/optimizer.h"
-#include "optimizer/plan_cache.h"
 #include "rags/rags.h"
 #include "stats/stats_catalog.h"
 #include "tpcd/dbgen.h"
@@ -133,16 +132,11 @@ class BenchJson {
     strings_.emplace_back(key, value);
   }
 
-  // Records the optimizer's probe accounting under `prefix`: logical
-  // calls, cache hits, real (pipeline) calls, and the hit ratio.
+  // Records the optimizer's call count under `prefix`.
   void AddOptimizerCounters(const std::string& prefix,
                             const Optimizer& optimizer) {
-    const double calls = static_cast<double>(optimizer.num_calls());
-    const double hits = static_cast<double>(optimizer.num_cache_hits());
-    Add(prefix + "_optimizer_calls", calls);
-    Add(prefix + "_cache_hits", hits);
-    Add(prefix + "_real_calls", calls - hits);
-    Add(prefix + "_cache_hit_ratio", calls > 0 ? hits / calls : 0.0);
+    Add(prefix + "_optimizer_calls",
+        static_cast<double>(optimizer.num_calls()));
   }
 
   // Records a manager run's accounting under `prefix`, including the

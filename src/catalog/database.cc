@@ -8,7 +8,6 @@ namespace autostats {
 
 TableId Database::AddTable(Schema schema) {
   tables_.push_back(std::make_unique<Table>(std::move(schema)));
-  ++schema_version_;
   return static_cast<TableId>(tables_.size() - 1);
 }
 
@@ -49,17 +48,14 @@ void Database::AddIndex(IndexDef index) {
   AUTOSTATS_CHECK(index.table >= 0 && index.table < num_tables());
   AUTOSTATS_CHECK(!index.key_columns.empty());
   indexes_.push_back(std::move(index));
-  ++schema_version_;
 }
 
 void Database::RemoveIndex(const std::string& name) {
-  const size_t before = indexes_.size();
   indexes_.erase(std::remove_if(indexes_.begin(), indexes_.end(),
                                 [&](const IndexDef& ix) {
                                   return ix.name == name;
                                 }),
                  indexes_.end());
-  if (indexes_.size() != before) ++schema_version_;
 }
 
 std::vector<const IndexDef*> Database::IndexesOn(TableId id) const {

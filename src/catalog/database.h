@@ -49,11 +49,6 @@ class Database {
   void RemoveIndex(const std::string& name);
   const std::vector<IndexDef>& indexes() const { return indexes_; }
 
-  // Advances on every structural change (table or index added, index
-  // removed). Part of the plan-cost cache key: what-if index probing
-  // mutates the schema between optimizations, and a cached plan from the
-  // old schema must not be served against the new one.
-  uint64_t schema_version() const { return schema_version_; }
   // Indexes whose table is `id`.
   std::vector<const IndexDef*> IndexesOn(TableId id) const;
   // The index (if any) whose leading key column is `ref`.
@@ -62,7 +57,6 @@ class Database {
  private:
   std::vector<std::unique_ptr<Table>> tables_;
   std::vector<IndexDef> indexes_;
-  uint64_t schema_version_ = 0;
 };
 
 }  // namespace autostats

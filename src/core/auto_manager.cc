@@ -74,6 +74,8 @@ AutoStatsManager::Outcome AutoStatsManager::ProcessQuery(const Query& query) {
   // around this statement catch builds_failed from every creation path,
   // including the swallowing CreateStatistic used by kSqlServer7.
   const StatsFailureCounters before = catalog_->failure_counters();
+  // The plan the query is served with; MNSA may hand back its last one.
+  OptimizeResult plan;
 
   switch (policy_.mode) {
     case CreationMode::kNone:
@@ -114,7 +116,8 @@ AutoStatsManager::Outcome AutoStatsManager::ProcessQuery(const Query& query) {
           outcome.degraded = true;
         }
       }
-      const MnsaResult r = RunMnsa(*optimizer_, catalog_, query, config);
+      const MnsaResult r =
+          RunMnsa(*optimizer_, catalog_, query, config, &plan);
       outcome.creation_cost += r.creation_cost;
       outcome.optimizer_calls += r.optimizer_calls;
       outcome.stats_created += static_cast<int64_t>(r.created.size());
@@ -135,8 +138,13 @@ AutoStatsManager::Outcome AutoStatsManager::ProcessQuery(const Query& query) {
   // Serving is unconditional and infallible: whatever happened above, the
   // query is optimized against the statistics that exist right now —
   // possibly magic numbers or stale histograms, never an error. This is
-  // the bottom rung of the degradation ladder.
-  const OptimizeResult plan = optimizer_->Optimize(query, StatsView(catalog_));
+  // the bottom rung of the degradation ladder. A plan MNSA handed back was
+  // made against exactly these statistics (stats_version has not moved),
+  // so it is the result Optimize would return and is served as is; it
+  // still counts as the serving optimizer call.
+  if (!plan.plan.valid()) {
+    plan = optimizer_->Optimize(query, StatsView(catalog_));
+  }
   ++outcome.optimizer_calls;
   outcome.exec_cost = executor_.Execute(query, plan.plan).work_units;
 

@@ -36,7 +36,8 @@ void MnsaResult::Merge(const MnsaResult& other) {
 }
 
 MnsaResult RunMnsa(const Optimizer& optimizer, StatsCatalog* catalog,
-                   const Query& query, const MnsaConfig& config) {
+                   const Query& query, const MnsaConfig& config,
+                   OptimizeResult* final_plan) {
   AUTOSTATS_CHECK(catalog != nullptr);
   MnsaResult result;
   result.converged = true;
@@ -110,14 +111,31 @@ MnsaResult RunMnsa(const Optimizer& optimizer, StatsCatalog* catalog,
     return true;
   };
 
+  // The current default-magic plan and the stats_version it was made at.
   OptimizeResult current;
-  if (!probe({}, &current)) return result;
+  uint64_t current_version = 0;
+  auto probe_default = [&](OptimizeResult* out) {
+    if (!probe({}, out)) return false;
+    current_version = catalog->stats_version();
+    return true;
+  };
+  // Every exit after the first plan: hand `current` back while no
+  // statistic has changed since it was made.
+  auto finish = [&]() {
+    if (final_plan != nullptr &&
+        catalog->stats_version() == current_version) {
+      *final_plan = std::move(current);
+    }
+    return result;
+  };
+
+  if (!probe_default(&current)) return result;
 
   for (int iter = 0; iter < config.max_iterations; ++iter) {
     ++result.iterations;
 
     // Steps 4-7: sensitivity test over the uncertain selectivity variables.
-    if (current.uncertain.empty()) return result;  // nothing left to sweep
+    if (current.uncertain.empty()) return finish();  // nothing left to sweep
     // Both twins are probed before the failure check: a failed P_low still
     // lets P_high run, which fault schedules' hit counts rely on. A twin
     // that failed even after retries stops the sweep rather than decide
@@ -125,7 +143,7 @@ MnsaResult RunMnsa(const Optimizer& optimizer, StatsCatalog* catalog,
     OptimizeResult p_low, p_high;
     const bool low_ok = probe(AtBound(current.uncertain, false), &p_low);
     const bool high_ok = probe(AtBound(current.uncertain, true), &p_high);
-    if (!low_ok || !high_ok) return result;
+    if (!low_ok || !high_ok) return finish();
     AUTOSTATS_DCHECK(p_high.cost >= p_low.cost - 1e-6);
     const EquivalenceSpec spec{config.equivalence, config.t_percent};
     const bool equivalent = PlansEquivalent(spec, p_low, p_high);
@@ -142,7 +160,7 @@ MnsaResult RunMnsa(const Optimizer& optimizer, StatsCatalog* catalog,
           .Int("uncertain_vars", static_cast<int64_t>(current.uncertain.size()));
     }
     if (equivalent) {
-      return result;  // existing statistics include an essential set
+      return finish();  // existing statistics include an essential set
     }
 
     // Steps 8-10: build the next statistic (or join dependency pair).
@@ -154,7 +172,7 @@ MnsaResult RunMnsa(const Optimizer& optimizer, StatsCatalog* catalog,
         FindNextStatToBuild(query, current.plan, remaining, *catalog);
     if (next.empty()) {
       result.converged = false;  // exhausted candidates, test still failing
-      return result;
+      return finish();
     }
     bool created_any = false;
     std::vector<StatKey> created_now;
@@ -167,12 +185,12 @@ MnsaResult RunMnsa(const Optimizer& optimizer, StatsCatalog* catalog,
     if (!created_any) {
       // Creation vetoed (aging): stop rather than loop on the same pick.
       result.converged = false;
-      return result;
+      return finish();
     }
 
     // Steps 11-12: re-optimize with default magic numbers.
     OptimizeResult next_plan;
-    if (!probe({}, &next_plan)) return result;
+    if (!probe_default(&next_plan)) return finish();
 
     // MNSA/D (§5.1): if the plan did not change, the statistics created
     // this iteration are heuristically non-essential.
@@ -193,7 +211,7 @@ MnsaResult RunMnsa(const Optimizer& optimizer, StatsCatalog* catalog,
     current = std::move(next_plan);
   }
   result.converged = false;
-  return result;
+  return finish();
 }
 
 MnsaResult RunMnsaWorkload(const Optimizer& optimizer, StatsCatalog* catalog,

@@ -78,9 +78,15 @@ struct MnsaResult {
   void Merge(const MnsaResult& other);
 };
 
-// Runs MNSA for one query against the live catalog.
+// Runs MNSA for one query against the live catalog. With `final_plan`,
+// also hands back the last plan MNSA made with default magic numbers —
+// exactly what Optimize(query, StatsView(catalog)) would return now — but
+// only if the catalog's stats_version has not moved since that plan was
+// made (an MNSA/D drop or a later build voids it); otherwise, and when no
+// such plan was made, *final_plan is left as it was.
 MnsaResult RunMnsa(const Optimizer& optimizer, StatsCatalog* catalog,
-                   const Query& query, const MnsaConfig& config);
+                   const Query& query, const MnsaConfig& config,
+                   OptimizeResult* final_plan = nullptr);
 
 // Runs MNSA for each query of the workload in order (§4.3), sharing the
 // catalog; returns merged accounting.

@@ -1,8 +1,7 @@
 // MetricsRegistry: process-wide counters, gauges, and fixed-bucket
 // histograms for the statistics-management hot paths (optimizer probe
-// latency split real-vs-cache-hit, statistic build cost, merge-vs-full
-// refresh cost, WAL append/fsync/checkpoint latency, plan-cache
-// occupancy).
+// latency, statistic build cost, merge-vs-full refresh cost, WAL
+// append/fsync/checkpoint latency, server statement and fsync counts).
 //
 // Design constraints, in order:
 //   1. Near-zero overhead when disabled: every instrumentation site
@@ -51,7 +50,7 @@ inline bool MetricsEnabled() {
 // observability tests turn it on explicitly.
 void EnableMetrics(bool on);
 
-// Monotonic event count (probe calls, cache hits, ...).
+// Monotonic event count (server statements, fsync passes, ...).
 class Counter {
  public:
   void Add(int64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
@@ -62,7 +61,7 @@ class Counter {
   std::atomic<int64_t> v_{0};
 };
 
-// Last-write-wins instantaneous value (plan-cache occupancy).
+// Last-write-wins instantaneous value (a tenant's server state).
 class Gauge {
  public:
   void Set(int64_t v) { v_.store(v, std::memory_order_relaxed); }
@@ -175,7 +174,7 @@ class MetricsRegistry {
 // fold their series into the same instruments. A ScopedMetricsLabel
 // prefixes "<label>/" onto every instrument name resolved through the
 // GetLabeled* helpers below for the scope's lifetime on this thread, so
-// "plan_cache.hits" becomes "t03/plan_cache.hits" while worker code runs
+// "stat_build_cost" becomes "t03/stat_build_cost" while worker code runs
 // tenant t03's statements. With no scope active (the default, and every
 // pre-existing single-tenant path) names — and the committed baselines
 // built on them — are unchanged.

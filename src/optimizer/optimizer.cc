@@ -6,25 +6,16 @@
 #include "common/check.h"
 #include "obs/metrics.h"
 #include "optimizer/cardinality.h"
-#include "optimizer/plan_cache.h"
 
 namespace autostats {
 
 namespace {
 
-// Probe latency split by outcome: a cache hit is a map lookup plus a
-// deep copy; a real optimization runs the full selectivity/enumeration
-// pipeline. Keeping them in separate histograms is what makes the
-// cache's value visible (the two distributions should not overlap).
+// Latency of one optimization (selectivity analysis, join enumeration,
+// aggregation placement).
 obs::Histogram* RealProbeHistogram() {
   thread_local obs::LabeledSlot<obs::Histogram> slot;
   return obs::GetLabeledHistogram(slot, "probe_latency_real_us",
-                                  obs::LatencyBoundsUs());
-}
-
-obs::Histogram* CacheHitProbeHistogram() {
-  thread_local obs::LabeledSlot<obs::Histogram> slot;
-  return obs::GetLabeledHistogram(slot, "probe_latency_cache_hit_us",
                                   obs::LatencyBoundsUs());
 }
 
@@ -41,12 +32,7 @@ double ElapsedUs(int64_t start_ns) {
 Optimizer::Optimizer(const Database* db, OptimizerConfig config)
     : db_(db), config_(config), cost_model_(config.cost) {
   AUTOSTATS_CHECK(db != nullptr);
-  if (config_.enable_plan_cache) {
-    plan_cache_ = std::make_unique<PlanCache>(config_.plan_cache_capacity);
-  }
 }
-
-Optimizer::~Optimizer() = default;
 
 OptimizeResult Optimizer::Optimize(const Query& query, const StatsView& stats,
                                    const SelectivityOverrides& overrides) const {
@@ -55,17 +41,6 @@ OptimizeResult Optimizer::Optimize(const Query& query, const StatsView& stats,
 
   // Captured once: a probe that starts with metrics off stays free.
   const int64_t start_ns = obs::MetricsEnabled() ? NowNs() : 0;
-
-  PlanCacheKey cache_key;
-  if (plan_cache_ != nullptr) {
-    cache_key = PlanCache::MakeKey(query, stats, overrides);
-    OptimizeResult cached;
-    if (plan_cache_->Lookup(cache_key, &cached)) {
-      num_cache_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (start_ns != 0) CacheHitProbeHistogram()->Observe(ElapsedUs(start_ns));
-      return cached;
-    }
-  }
 
   SelectivityAnalysis sel = AnalyzeSelectivities(
       *db_, query, stats, config_.magic, overrides, config_.epsilon);
@@ -104,7 +79,6 @@ OptimizeResult Optimizer::Optimize(const Query& query, const StatsView& stats,
   result.plan = std::move(plan);
   result.bindings = sel.bindings();
   result.uncertain = sel.UncertainBindings();
-  if (plan_cache_ != nullptr) plan_cache_->Insert(cache_key, result);
   if (start_ns != 0) RealProbeHistogram()->Observe(ElapsedUs(start_ns));
   return result;
 }
@@ -112,8 +86,8 @@ OptimizeResult Optimizer::Optimize(const Query& query, const StatsView& stats,
 Result<OptimizeResult> Optimizer::TryOptimize(
     const Query& query, const StatsView& stats,
     const SelectivityOverrides& overrides) const {
-  // Gate first: an aborted probe must not reach num_calls_ (nor the plan
-  // cache), so the 3-calls-per-statistic accounting stays honest.
+  // Gate first: an aborted probe must not reach num_calls_, so the
+  // 3-calls-per-statistic accounting stays honest.
   const Status gate = PokeFault(faults::kOptimizerProbe, query.name().c_str());
   if (!gate.ok()) {
     num_aborted_probes_.fetch_add(1, std::memory_order_relaxed);

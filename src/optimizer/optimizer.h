@@ -7,7 +7,6 @@
 #define AUTOSTATS_OPTIMIZER_OPTIMIZER_H_
 
 #include <atomic>
-#include <memory>
 #include <vector>
 
 #include "catalog/database.h"
@@ -27,11 +26,11 @@ struct OptimizerConfig {
   CostParams cost;
   EnumeratorConfig enumerator;
   double epsilon = kDefaultEpsilon;  // the epsilon of §4.1
-  // Memoize OptimizeResults by (query, stats view, overrides) so repeated
-  // MNSA rounds and Shrinking Set passes stop re-optimizing identical
-  // configurations. Hits are deep copies — bit-identical to a fresh call.
+  // Inert: nothing reads it. Kept only so that code outside the library
+  // that still sets it (the end-to-end benchmark's engine, perfbench/)
+  // keeps compiling; the optimizer has no plan cache. Nothing in src/,
+  // tests/, bench/ or examples/ uses it.
   bool enable_plan_cache = true;
-  size_t plan_cache_capacity = 4096;
 };
 
 struct OptimizeResult {
@@ -43,17 +42,13 @@ struct OptimizeResult {
   std::vector<SelVarBinding> uncertain;
 };
 
-class PlanCache;
-
 // Thread-safety: Optimize() is safe to call concurrently from many threads
 // against the same Optimizer as long as nothing mutates the Database, the
 // StatsCatalog behind the view, or the overrides during the calls. The
-// call counters are atomic and the PlanCache takes a mutex, so concurrent
-// callers see exact counts and bit-identical cached plans.
+// call counters are atomic, so concurrent callers see exact counts.
 class Optimizer {
  public:
   explicit Optimizer(const Database* db, OptimizerConfig config = {});
-  ~Optimizer();
 
   const Database& db() const { return *db_; }
   const OptimizerConfig& config() const { return config_; }
@@ -82,18 +77,16 @@ class Optimizer {
       int64_t* aborted_probes = nullptr) const;
 
   // Number of Optimize() calls since construction (the bookkeeping the
-  // paper uses to report MNSA's overhead of 3 calls per statistic). Cache
-  // hits count: this is the paper's logical call count, exact under
-  // concurrency.
+  // paper uses to report MNSA's overhead of 3 calls per statistic), exact
+  // under concurrency.
   int64_t num_calls() const {
     return num_calls_.load(std::memory_order_relaxed);
   }
-  // Of those, how many were answered from the plan-cost cache...
-  int64_t num_cache_hits() const {
-    return num_cache_hits_.load(std::memory_order_relaxed);
-  }
-  // ...and how many ran the full pipeline.
-  int64_t num_real_calls() const { return num_calls() - num_cache_hits(); }
+  // num_calls() again, kept only so that code outside the library that
+  // still reads it (the end-to-end benchmark's engine, perfbench/) keeps
+  // compiling: every call runs the full pipeline. Nothing in src/, tests/,
+  // bench/ or examples/ uses it.
+  int64_t num_real_calls() const { return num_calls(); }
 
   // Probes killed by an injected fault before reaching the pipeline; these
   // are NOT included in num_calls().
@@ -101,17 +94,12 @@ class Optimizer {
     return num_aborted_probes_.load(std::memory_order_relaxed);
   }
 
-  // The memoizing cache; nullptr when disabled by config.
-  PlanCache* plan_cache() const { return plan_cache_.get(); }
-
  private:
   const Database* db_;
   OptimizerConfig config_;
   CostModel cost_model_;
   mutable std::atomic<int64_t> num_calls_{0};
-  mutable std::atomic<int64_t> num_cache_hits_{0};
   mutable std::atomic<int64_t> num_aborted_probes_{0};
-  std::unique_ptr<PlanCache> plan_cache_;
 };
 
 }  // namespace autostats

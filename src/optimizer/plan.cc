@@ -1,98 +1,11 @@
 #include "optimizer/plan.h"
 
 #include <algorithm>
-#include <mutex>
-#include <new>
 #include <vector>
 
 #include "common/str_util.h"
 
 namespace autostats {
-
-namespace {
-
-// Slab pool for PlanNode. The optimizer allocates and frees nodes at very
-// high rates (a tree per probe, a deep copy per cache hit), and at 4096
-// cached plans the global allocator's lock and per-node metadata dominate
-// Clone(). Blocks are served LIFO from a per-thread free list backed by
-// chunked slabs, so the common alloc/free is a couple of pointer moves
-// with no lock.
-//
-// Slabs are retained for the life of the process (like the metrics
-// registry's leaky singletons): a tenant's statements run on whichever
-// server worker picks them up, so a node allocated on one worker can be
-// freed on another when it leaves the plan cache, and slab lifetime
-// cannot be tied to any one thread. Every slab is registered in
-// a process-wide list on the Refill slow path, so retained memory stays
-// reachable after the thread whose free list held it exits (a leak
-// checker sees it as held, not lost). The pool object itself is
-// trivially destructible, which keeps frees during static destruction
-// (cached plans outliving main) safe.
-constexpr size_t kNodesPerSlab = 256;
-
-struct SlabRegistry {
-  std::mutex mu;
-  std::vector<void*> slabs;
-};
-
-SlabRegistry& Slabs() {
-  static SlabRegistry* registry = new SlabRegistry();  // never destroyed
-  return *registry;
-}
-
-struct FreeBlock {
-  FreeBlock* next;
-};
-
-struct NodePool {
-  FreeBlock* free = nullptr;
-
-  void* Allocate() {
-    if (free == nullptr) Refill();
-    FreeBlock* block = free;
-    free = block->next;
-    return block;
-  }
-
-  void Free(void* ptr) {
-    FreeBlock* block = static_cast<FreeBlock*>(ptr);
-    block->next = free;
-    free = block;
-  }
-
-  void Refill() {
-    char* slab =
-        static_cast<char*>(::operator new(kNodesPerSlab * sizeof(PlanNode)));
-    {
-      SlabRegistry& registry = Slabs();
-      std::lock_guard<std::mutex> lock(registry.mu);
-      registry.slabs.push_back(slab);
-    }
-    for (size_t i = kNodesPerSlab; i-- > 0;) Free(slab + i * sizeof(PlanNode));
-  }
-};
-
-thread_local NodePool g_plan_node_pool;
-
-}  // namespace
-
-void* PlanNode::operator new(size_t size) {
-  if (size != sizeof(PlanNode)) return ::operator new(size);
-  return g_plan_node_pool.Allocate();
-}
-
-void PlanNode::operator delete(void* ptr) noexcept {
-  if (ptr != nullptr) g_plan_node_pool.Free(ptr);
-}
-
-void PlanNode::operator delete(void* ptr, size_t size) noexcept {
-  if (ptr == nullptr) return;
-  if (size != sizeof(PlanNode)) {
-    ::operator delete(ptr);
-    return;
-  }
-  g_plan_node_pool.Free(ptr);
-}
 
 const char* PlanOpName(PlanOp op) {
   switch (op) {
@@ -180,21 +93,6 @@ std::string PlanNode::ToString(const Database& db, const Query& query,
     out += child->ToString(db, query, indent + 1);
   }
   return out;
-}
-
-std::unique_ptr<PlanNode> PlanNode::Clone() const {
-  auto copy = std::make_unique<PlanNode>();
-  copy->op = op;
-  copy->table = table;
-  copy->index_name = index_name;
-  copy->filter_indices = filter_indices;
-  copy->join_indices = join_indices;
-  copy->group_by = group_by;
-  copy->est_rows = est_rows;
-  copy->cost_local = cost_local;
-  copy->cost_subtree = cost_subtree;
-  for (const auto& child : children) copy->children.push_back(child->Clone());
-  return copy;
 }
 
 namespace {

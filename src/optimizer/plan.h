@@ -51,14 +51,6 @@ struct PlanNode {
   // inner/build side.
   std::vector<std::unique_ptr<PlanNode>> children;
 
-  // Pooled allocation. Plan nodes are created and destroyed at very high
-  // rates (every probe builds a tree; every cache hit deep-copies one), so
-  // nodes come from per-thread slab pools instead of the global heap —
-  // see plan.cc for the pool and its cross-thread free semantics.
-  static void* operator new(size_t size);
-  static void operator delete(void* ptr) noexcept;
-  static void operator delete(void* ptr, size_t size) noexcept;
-
   // Structural identity: operator kinds, access paths, join order and
   // predicate placement — no costs or cardinalities. Two plans with equal
   // signatures are Execution-Tree equivalent.
@@ -67,8 +59,6 @@ struct PlanNode {
   // Indented human-readable rendering with costs.
   std::string ToString(const Database& db, const Query& query,
                        int indent = 0) const;
-
-  std::unique_ptr<PlanNode> Clone() const;
 };
 
 struct Plan {

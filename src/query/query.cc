@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/str_util.h"
 
 namespace autostats {
 
@@ -88,49 +87,6 @@ std::vector<int> Query::FilterIndicesOf(TableId table) const {
     if (filters_[i].column.table == table) out.push_back(static_cast<int>(i));
   }
   return out;
-}
-
-namespace {
-
-// Exact, type-tagged rendering (Datum::ToString rounds doubles).
-std::string DatumToken(const Datum& d) {
-  switch (d.type()) {
-    case ValueType::kInt64:
-      return StrFormat("i%lld", static_cast<long long>(d.AsInt64()));
-    case ValueType::kDouble:
-      return StrFormat("d%.17g", d.AsDouble());
-    case ValueType::kString:
-      return "s" + d.AsString();
-  }
-  return "?";
-}
-
-}  // namespace
-
-std::string Query::Fingerprint() const {
-  std::string fp = "T:";
-  for (TableId t : tables_) fp += StrFormat("%d,", t);
-  fp += "|F:";
-  for (const FilterPredicate& f : filters_) {
-    fp += StrFormat("%d.%d %s ", f.column.table, f.column.column,
-                    CompareOpSymbol(f.op));
-    fp += DatumToken(f.value);
-    if (f.op == CompareOp::kBetween) {
-      fp += ' ';
-      fp += DatumToken(f.value2);
-    }
-    fp += ";";
-  }
-  fp += "|J:";
-  for (const JoinPredicate& j : joins_) {
-    fp += StrFormat("%d.%d=%d.%d;", j.left.table, j.left.column,
-                    j.right.table, j.right.column);
-  }
-  fp += "|G:";
-  for (const ColumnRef& c : group_by_) {
-    fp += StrFormat("%d.%d,", c.table, c.column);
-  }
-  return fp;
 }
 
 std::vector<int> Query::JoinIndicesBetween(TableId ta, TableId tb) const {

@@ -41,13 +41,6 @@ class Query {
   // can impact optimization. Deduplicated, deterministic order.
   std::vector<ColumnRef> RelevantColumns() const;
 
-  // Canonical structural fingerprint: tables, predicates (with exact
-  // constants), and grouping — everything the optimizer's result depends
-  // on, and nothing else (the name is excluded). Two queries with equal
-  // fingerprints optimize identically under identical statistics, which is
-  // what makes this the plan-cost cache key (optimizer/plan_cache.h).
-  std::string Fingerprint() const;
-
   // Selection-predicate columns of one table (deduplicated, query order).
   std::vector<ColumnRef> SelectionColumnsOf(TableId table) const;
   // Join columns of one table across all join predicates.

@@ -3,10 +3,10 @@
 // management as an unattended background activity beside the server (§6);
 // at fleet scale that activity is multiplexed — many databases, one
 // budget of cores — so the server owns, per tenant: a StatsCatalog, an
-// Optimizer (with its PlanCache), an AutoStatsManager driving the
-// configured policy, an optional CatalogDurability (own WAL directory),
-// and a private TraceSink. Statement streams arrive on any number of
-// ingress threads tagged by tenant; workers drain them.
+// Optimizer, an AutoStatsManager driving the configured policy, an
+// optional CatalogDurability (own WAL directory), and a private
+// TraceSink. Statement streams arrive on any number of ingress threads
+// tagged by tenant; workers drain them.
 //
 // Scheduling is ONE ready queue: a single mutex guards every tenant's
 // queue state, one FIFO of schedulable tenants, and one pending count.

@@ -1,7 +1,6 @@
 #include "stats/stats_catalog.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 
@@ -34,15 +33,10 @@ obs::Histogram* RebuildCostHistogram() {
 
 namespace {
 
-uint64_t NextCatalogUid() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
 // Bit-pattern double equality. Unlike operator==, a NaN field (e.g. a NaN
 // NumericKey propagating into bucket bounds) compares equal to itself, so
-// it cannot make every refresh register as changed and defeat the
-// no-op-refresh plan-cache preservation.
+// it cannot make every refresh register as changed and bump stats_version
+// for a no-op refresh.
 bool BitEq(double a, double b) {
   uint64_t x;
   uint64_t y;
@@ -52,7 +46,7 @@ bool BitEq(double a, double b) {
 }
 
 // Exact (bitwise on doubles) statistic comparison, used to detect no-op
-// refreshes that must not invalidate cached plans.
+// refreshes, which must not bump stats_version.
 bool SameHistogram(const Histogram& a, const Histogram& b) {
   if (!BitEq(a.total_rows(), b.total_rows()) ||
       !BitEq(a.total_distinct(), b.total_distinct()) ||
@@ -106,8 +100,7 @@ StatsCatalog::StatsCatalog(const Database* db, StatsBuildConfig build_config,
                            StatsCostModel cost_model)
     : db_(db),
       build_config_(build_config),
-      cost_model_(cost_model),
-      uid_(NextCatalogUid()) {
+      cost_model_(cost_model) {
   AUTOSTATS_CHECK(db != nullptr);
 }
 
@@ -151,7 +144,7 @@ Result<double> StatsCatalog::TryCreateStatistic(
       &failure_counters_.build_retries);
   if (!built.ok()) {
     // Retry budget exhausted: no entry, no cost, and no version bump — a
-    // failed build must not invalidate cached plans it did not change.
+    // failed build changed nothing an estimate can see.
     ++failure_counters_.builds_failed;
     if (obs::TraceActive()) {
       obs::TraceEvent("stat.create_failed")
@@ -555,7 +548,7 @@ double StatsCatalog::RefreshIfTriggered(const UpdateTriggerPolicy& policy) {
               .Bool("changed", true)
               .Num("cost", rebuild_cost);
         }
-        any_changed = true;  // rescans always invalidate cached plans
+        any_changed = true;  // rescans always bump stats_version
       }
       entry.update_count = next_count;
       NotifyEntry(key);
@@ -594,17 +587,6 @@ void StatsCatalog::ResetAccounting() {
 
 bool StatsView::IsVisible(const StatKey& key) const {
   return ignored_.count(key) == 0 && catalog_->HasActive(key);
-}
-
-std::string StatsView::Signature() const {
-  std::vector<StatKey> keys(ignored_.begin(), ignored_.end());
-  std::sort(keys.begin(), keys.end());
-  std::string sig;
-  for (const StatKey& k : keys) {
-    sig += k;
-    sig += ';';
-  }
-  return sig;
 }
 
 const Statistic* StatsView::HistogramFor(ColumnRef column) const {

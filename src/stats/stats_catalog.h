@@ -117,8 +117,8 @@ class StatsCatalog {
 
   // The fallible form: same semantics, but a build that exhausts its retry
   // budget surfaces the error. The catalog is untouched on failure — no
-  // entry, no cost charged, and crucially no stats_version bump, so cached
-  // plans stay valid.
+  // entry, no cost charged, and no stats_version bump, so a plan made
+  // before the failed build is still current.
   Result<double> TryCreateStatistic(const std::vector<ColumnRef>& columns);
 
   // Bounded-retry policy for builds (create and refresh).
@@ -181,7 +181,7 @@ class StatsCatalog {
   // `policy.incremental`, refreshes merge the table's delta sketch into
   // each statistic's base distribution (O(|delta|)); a refresh whose
   // resulting statistic is bit-identical to the old one does not bump
-  // stats_version, so PlanCache entries survive no-op refreshes. Full
+  // stats_version, since no estimate can see it. Full
   // rebuilds (the cadence rescans, poisoned-delta recoveries, and the
   // non-incremental mode) always bump. A refresh that fails after retries
   // keeps the last-good (stale) statistic, counts a stale fallback, and
@@ -214,16 +214,12 @@ class StatsCatalog {
   int64_t now() const { return clock_; }
   void Tick();
 
-  // --- Plan-cost cache support (optimizer/plan_cache.h) ---
-  //
-  // `uid` identifies this catalog instance for the lifetime of the process
-  // (pointers can be reused; uids never are). `stats_version` advances on
-  // every mutation that can change an optimization result: statistic
-  // create / resurrect / drop / restore / refresh, and recorded data
-  // modifications. A cached plan is valid iff its (uid, version) pair
-  // still matches — creating or dropping a statistic therefore invalidates
-  // every dependent cache entry.
-  uint64_t uid() const { return uid_; }
+  // `stats_version` advances on every mutation that can change an
+  // optimization result: statistic create / resurrect / drop / restore /
+  // refresh, and recorded data modifications — and on nothing an estimate
+  // cannot see (failed builds, no-op refreshes). The WAL journals it, the
+  // catalog digests include it, and AutoStatsManager serves MNSA's last
+  // plan only while it has not moved since that plan was made.
   uint64_t stats_version() const { return stats_version_; }
 
   // --- Durability support (stats/durability.h) ---
@@ -291,7 +287,6 @@ class StatsCatalog {
   double total_update_cost_ = 0.0;
   int64_t optimizer_calls_charged_ = 0;
   int64_t clock_ = 0;
-  uint64_t uid_ = 0;
   uint64_t stats_version_ = 0;
   CatalogMutationListener* listener_ = nullptr;
 };
@@ -309,12 +304,6 @@ class StatsView {
   }
 
   bool IsVisible(const StatKey& key) const;
-
-  // Canonical rendering of the ignored subset (sorted keys). Together with
-  // the catalog's (uid, stats_version) this pins down exactly which
-  // statistics the optimizer can see through this view — the view part of
-  // the plan-cost cache key.
-  std::string Signature() const;
 
   // The statistic providing a histogram for `column`: an active, visible
   // statistic whose leading column is `column` (narrowest width wins, so

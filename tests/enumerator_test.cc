@@ -1,11 +1,21 @@
 // Focused tests for join enumeration: method/config matrix, join-order
-// sensitivity to statistics, cross products on disconnected graphs, and
-// the skew-adjusted index nested-loop costing.
+// sensitivity to statistics, cross products on disconnected graphs, the
+// skew-adjusted index nested-loop costing, and bit-for-bit agreement with
+// the tree-building reference enumerator (tests/reference_enumerator.h).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "core/candidate.h"
+#include "core/mnsa.h"
+#include "optimizer/join_graph.h"
 #include "optimizer/optimizer.h"
+#include "rags/rags.h"
+#include "tests/reference_enumerator.h"
 #include "tests/test_util.h"
+#include "tpcd/dbgen.h"
+#include "tpcd/schema.h"
+#include "tpcd/tuning.h"
 
 namespace autostats {
 namespace {
@@ -207,6 +217,85 @@ TEST_F(EnumeratorTest, EightTableChainFinishesQuickly) {
   const OptimizeResult r = optimizer.Optimize(q, StatsView(&catalog));
   ASSERT_TRUE(r.plan.valid());
   EXPECT_EQ(r.plan.Nodes().size() >= 15u, true);  // 8 scans + 7 joins
+}
+
+// Every selectivity variable of the query pinned to one end of its range.
+SelectivityOverrides AllAt(const std::vector<SelVarBinding>& bindings,
+                           bool high) {
+  SelectivityOverrides out;
+  for (const SelVarBinding& b : bindings) out[b.var] = high ? b.high : b.low;
+  return out;
+}
+
+TEST_F(EnumeratorTest, MatchesReferenceBitForBit) {
+  struct Config {
+    const char* name;
+    EnumeratorConfig config;
+    bool connected_only;  // no join method that works on a cross product
+  };
+  const Config configs[] = {
+      {"default", {}, false},
+      {"hash_only", {true, false, false, false, false}, true},
+      {"merge_only", {false, true, false, false, false}, true},
+      {"nlj_only", {false, false, true, false, false}, false},
+      {"inlj_or_nlj", {false, false, true, true, false}, false},
+  };
+  int64_t compared = 0;
+  int64_t index_nlj_nodes = 0;
+  int64_t index_seek_nodes = 0;
+  for (const bool indexed : {false, true}) {
+    Database db = tpcd::BuildTpcdVariant("TPCD_MIX", 0.0005, 42);
+    if (indexed) tpcd::ApplyTunedIndexes(&db);
+    const Optimizer optimizer(&db);
+    const CostModel& cost = optimizer.cost_model();
+    const OptimizerConfig& oc = optimizer.config();
+    for (const rags::Complexity complexity :
+         {rags::Complexity::kSimple, rags::Complexity::kComplex}) {
+      rags::RagsConfig rc;
+      rc.num_statements = 30;
+      rc.complexity = complexity;
+      rc.seed = 11;
+      rc.join_edges = tpcd::TpcdForeignKeys(db);
+      const Workload w = rags::Generate(db, rc);
+      // The catalog evolves under MNSA/D as the stream is processed, so
+      // later queries are planned on histograms, densities and drops.
+      StatsCatalog catalog(&db);
+      MnsaConfig mnsa_d;
+      mnsa_d.drop_detection = true;
+      for (const Query* q : w.Queries()) {
+        const StatsView view(&catalog);
+        const std::vector<SelVarBinding> bindings =
+            optimizer.Optimize(*q, view).bindings;
+        const bool connected =
+            JoinGraph(*q).IsConnected((1u << q->num_tables()) - 1u);
+        for (const SelectivityOverrides& overrides :
+             {SelectivityOverrides{}, AllAt(bindings, false),
+              AllAt(bindings, true)}) {
+          const SelectivityAnalysis sel = AnalyzeSelectivities(
+              db, *q, view, oc.magic, overrides, oc.epsilon);
+          const CardinalityModel card(&db, q, &sel);
+          for (const Config& c : configs) {
+            if (c.connected_only && !connected) continue;
+            const Plan got = EnumerateJoins(db, *q, card, cost, c.config);
+            const Plan want =
+                testing::ReferenceEnumerateJoins(db, *q, card, cost, c.config);
+            ASSERT_EQ(testing::PlanDiff(*got.root, *want.root), "")
+                << q->name() << " config=" << c.name;
+            ++compared;
+            for (const PlanNode* n : want.Nodes()) {
+              index_nlj_nodes += n->op == PlanOp::kIndexNestedLoopJoin;
+              index_seek_nodes += n->op == PlanOp::kIndexSeek;
+            }
+          }
+        }
+        RunMnsa(optimizer, &catalog, *q, mnsa_d);
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000);
+  // The tuned indexes put both index paths into the compared trees.
+  EXPECT_GT(index_nlj_nodes, 0);
+  EXPECT_GT(index_seek_nodes, 0);
 }
 
 }  // namespace

@@ -149,10 +149,9 @@ TEST_F(ExecutorTest, StreamAggregateChargedMoreThanHash) {
   const OptimizeResult r = optimizer_.Optimize(q, StatsView(&catalog_));
   ASSERT_EQ(r.plan.root->op, PlanOp::kHashAggregate);
   const double hash_work = executor_.Execute(q, r.plan).work_units;
-  Plan stream;
-  stream.root = r.plan.root->Clone();
-  stream.root->op = PlanOp::kStreamAggregate;
-  const double stream_work = executor_.Execute(q, stream).work_units;
+  OptimizeResult stream = optimizer_.Optimize(q, StatsView(&catalog_));
+  stream.plan.root->op = PlanOp::kStreamAggregate;
+  const double stream_work = executor_.Execute(q, stream.plan).work_units;
   EXPECT_GT(stream_work, hash_work);  // the sort dominates
 }
 

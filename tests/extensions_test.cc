@@ -290,8 +290,8 @@ TEST_F(PersistenceTest, ReloadBumpsStatsVersionPerReplacedEntry) {
   catalog_.CreateStatistic({t_.dim_pk});
   ASSERT_TRUE(SaveCatalog(catalog_, path_.string()).ok());
 
-  // Loading over a live catalog replaces entries in place; every cached
-  // plan costed against the old statistics must see a new stats_version.
+  // Loading over a live catalog replaces entries in place; a plan made
+  // against the old statistics must see a new stats_version.
   const uint64_t before = catalog_.stats_version();
   ASSERT_TRUE(LoadCatalog(&catalog_, path_.string()).ok());
   EXPECT_GE(catalog_.stats_version(), before + 2);

@@ -277,6 +277,51 @@ TEST_F(FaultInjectionTest, StaleFallbackKeepsLastGoodStatistic) {
   EXPECT_EQ(catalog.FindEntry(MakeStatKey({t.fact_val}))->update_count, 1);
 }
 
+// A failed build or refresh changes nothing an estimate can see, so it
+// must not move stats_version (a plan made before it stays current); the
+// successful retry does move it.
+TEST_F(FaultInjectionTest, FailedCreateLeavesStatsVersionUnchanged) {
+  TwoTableDb t = MakeTwoTableDb(4000, 100);
+  StatsCatalog catalog(&t.db);
+  const uint64_t version = catalog.stats_version();
+
+  FaultSchedule schedule;
+  schedule.count = kForever;
+  FaultInjector::Instance().Arm(faults::kStatsCreate, schedule);
+  EXPECT_FALSE(catalog.TryCreateStatistic({t.fact_val}).ok());
+  EXPECT_EQ(catalog.stats_version(), version);
+  EXPECT_FALSE(catalog.Exists(MakeStatKey({t.fact_val})));
+  EXPECT_DOUBLE_EQ(catalog.total_creation_cost(), 0.0);
+
+  FaultInjector::Instance().Reset();
+  ASSERT_TRUE(catalog.TryCreateStatistic({t.fact_val}).ok());
+  EXPECT_GT(catalog.stats_version(), version);
+}
+
+TEST_F(FaultInjectionTest, FailedRefreshLeavesStatsVersionUnchanged) {
+  TwoTableDb t = MakeTwoTableDb(4000, 100);
+  StatsCatalog catalog(&t.db);
+  ASSERT_TRUE(catalog.TryCreateStatistic({t.fact_val}).ok());
+  // RecordModifications bumps the version on its own (live row counts
+  // feed estimates); take the version after it so the refresh is
+  // isolated.
+  catalog.RecordModifications(t.fact, 4000);
+  const uint64_t version = catalog.stats_version();
+
+  FaultSchedule schedule;
+  schedule.count = kForever;
+  FaultInjector::Instance().Arm(faults::kStatsRefresh, schedule);
+  UpdateTriggerPolicy trigger;
+  trigger.fraction = 0.01;
+  trigger.floor = 1;
+  EXPECT_DOUBLE_EQ(catalog.RefreshIfTriggered(trigger), 0.0);
+  EXPECT_EQ(catalog.stats_version(), version);
+
+  FaultInjector::Instance().Reset();
+  EXPECT_GT(catalog.RefreshIfTriggered(trigger), 0.0);
+  EXPECT_GT(catalog.stats_version(), version);
+}
+
 // --- Persistence round-trip under injected failures ---
 
 TEST_F(FaultInjectionTest, PersistenceFaultsLeaveBothSidesIntact) {

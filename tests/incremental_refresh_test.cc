@@ -10,8 +10,9 @@
 //     the next refresh to a full rescan; a faulted merge falls back to the
 //     stale statistic and the retry rescans — both recover to the exact
 //     catalog.
-//  4. Plan-cache friendliness: a refresh that does not change the
-//     statistic leaves stats_version untouched.
+//  4. stats_version counts only what an estimate can see: create, drop,
+//     resurrect and refresh bump it; a refresh that does not change the
+//     statistic leaves it untouched.
 //  5. Delta-consumption fencing: a statistic created while its table has
 //     unconsumed deltas, or resurrected after a refresh round consumed
 //     the delta without it, rescans once instead of merging modifications
@@ -30,6 +31,7 @@
 
 #include "common/fault.h"
 #include "executor/dml_exec.h"
+#include "optimizer/optimizer.h"
 #include "stats/builder.h"
 #include "stats/delta_sketch.h"
 #include "stats/durability.h"
@@ -39,6 +41,7 @@
 namespace autostats {
 namespace {
 
+using testing::MakeFilterQuery;
 using testing::MakeTwoTableDb;
 using testing::TwoTableDb;
 
@@ -366,7 +369,50 @@ TEST_F(IncrementalRefreshTest, FaultedMergeFallsBackStaleThenRescans) {
             FullRebuildDump(t.db, {t.fact_val}));
 }
 
-// --- 4. No-op refreshes leave stats_version (and so the PlanCache) alone ---
+// --- 4. stats_version moves exactly when an estimate can ---
+
+TEST_F(IncrementalRefreshTest, CreateDropAndRefreshBumpStatsVersion) {
+  TwoTableDb t = MakeTwoTableDb(4000, 100);
+  StatsCatalog catalog(&t.db);
+  const StatKey key = MakeStatKey({t.fact_val});
+
+  uint64_t version = catalog.stats_version();
+  ASSERT_TRUE(catalog.TryCreateStatistic({t.fact_val}).ok());
+  EXPECT_GT(catalog.stats_version(), version);
+
+  version = catalog.stats_version();
+  catalog.MoveToDropList(key);
+  EXPECT_GT(catalog.stats_version(), version);
+  // The drop is visible to estimates: the filter falls back to a magic
+  // number, so a plan made before it is no longer current.
+  const Optimizer optimizer(&t.db);
+  bool any_magic = false;
+  for (const SelVarBinding& b :
+       optimizer.Optimize(MakeFilterQuery(t), StatsView(&catalog)).bindings) {
+    any_magic |= b.from_magic;
+  }
+  EXPECT_TRUE(any_magic);
+
+  version = catalog.stats_version();
+  ASSERT_TRUE(catalog.TryCreateStatistic({t.fact_val}).ok());  // resurrect
+  EXPECT_GT(catalog.stats_version(), version);
+
+  // A full-rebuild refresh of changed data bumps it too.
+  Result<size_t> applied =
+      TryApplyDml(&t.db, Insert(t.fact, 300, 5), catalog.mutable_deltas());
+  ASSERT_TRUE(applied.ok());
+  catalog.RecordModifications(t.fact, *applied);
+  version = catalog.stats_version();
+  UpdateTriggerPolicy rescan;
+  rescan.fraction = 0.0;
+  rescan.floor = 0;
+  EXPECT_GT(catalog.RefreshIfTriggered(rescan), 0.0);
+  EXPECT_GT(catalog.stats_version(), version);
+
+  version = catalog.stats_version();
+  catalog.PhysicallyDrop(key);
+  EXPECT_GT(catalog.stats_version(), version);
+}
 
 TEST_F(IncrementalRefreshTest, NoOpMergeDoesNotBumpStatsVersion) {
   TwoTableDb t = MakeTwoTableDb(4000, 100);

@@ -1,11 +1,18 @@
+#include <bit>
+#include <cstdint>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "common/fault.h"
 #include "core/mnsa.h"
 #include "core/mnsa_d.h"
 #include "executor/executor.h"
+#include "rags/rags.h"
+#include "tests/reference_enumerator.h"
 #include "tests/test_util.h"
+#include "tpcd/dbgen.h"
+#include "tpcd/schema.h"
 
 namespace autostats {
 namespace {
@@ -288,6 +295,70 @@ TEST_F(MnsaTest, ResurrectionInsteadOfRebuild) {
   EXPECT_FALSE(second.created.empty());
   EXPECT_DOUBLE_EQ(second.creation_cost, 0.0);  // resurrection is free
   EXPECT_DOUBLE_EQ(catalog_.total_creation_cost(), cost_before);
+}
+
+class MnsaServedPlanTest : public ::testing::Test {
+ protected:
+  void TearDown() override { FaultInjector::Instance().Reset(); }
+};
+
+// The plan RunMnsa hands back is served in place of a fresh Optimize, so
+// it must be that result exactly: same tree, same costs, bit for bit.
+// MNSA/D drops and builds after MNSA's last default-magic probe void the
+// plan, so both the handed-back path and the fallback path must run.
+TEST_F(MnsaServedPlanTest, HandedBackPlanEqualsFreshOptimize) {
+  const Database db = tpcd::BuildTpcdVariant("TPCD_MIX", 0.0005, 42);
+  const Optimizer optimizer(&db);
+  int64_t handed_back = 0;
+  int64_t fell_back = 0;
+  int64_t builds_failed = 0;
+  for (const bool faulted : {false, true}) {
+    for (const bool drop_detection : {false, true}) {
+      for (const rags::Complexity complexity :
+           {rags::Complexity::kSimple, rags::Complexity::kComplex}) {
+        FaultInjector::Instance().Reset();
+        if (faulted) {
+          // Some builds exhaust their retries: the analysis carries on
+          // with those predicates on magic numbers.
+          FaultSchedule schedule;
+          schedule.kind = FaultKind::kFailProbability;
+          schedule.probability = 0.5;
+          schedule.seed = 3;
+          FaultInjector::Instance().Arm(faults::kStatsCreate, schedule);
+        }
+        rags::RagsConfig rc;
+        rc.num_statements = 30;
+        rc.complexity = complexity;
+        rc.seed = 5;
+        rc.join_edges = tpcd::TpcdForeignKeys(db);
+        const Workload w = rags::Generate(db, rc);
+        StatsCatalog catalog(&db);
+        MnsaConfig config;
+        config.drop_detection = drop_detection;
+        for (const Query* q : w.Queries()) {
+          OptimizeResult served;
+          builds_failed +=
+              RunMnsa(optimizer, &catalog, *q, config, &served).builds_failed;
+          if (!served.plan.valid()) {
+            ++fell_back;
+            continue;
+          }
+          ++handed_back;
+          const OptimizeResult fresh =
+              optimizer.Optimize(*q, StatsView(&catalog));
+          ASSERT_EQ(testing::PlanDiff(*served.plan.root, *fresh.plan.root),
+                    "")
+              << q->name();
+          ASSERT_EQ(std::bit_cast<uint64_t>(served.cost),
+                    std::bit_cast<uint64_t>(fresh.cost))
+              << q->name();
+        }
+      }
+    }
+  }
+  EXPECT_GT(handed_back, 0);
+  EXPECT_GT(fell_back, 0);
+  EXPECT_GT(builds_failed, 0);  // the armed schedule did fire
 }
 
 TEST_F(MnsaTest, MergeAccumulates) {

@@ -58,11 +58,11 @@ TEST_F(OptimizerTest, SignatureStableAcrossCalls) {
 
 TEST_F(OptimizerTest, SignatureIgnoresCosts) {
   const Query q = testing::MakeJoinQuery(t_);
-  const Plan& p = optimizer_.Optimize(q, StatsView(&catalog_)).plan;
-  auto clone = p.root->Clone();
-  clone->cost_local *= 3.0;
-  clone->est_rows += 100.0;
-  EXPECT_EQ(clone->Signature(), p.root->Signature());
+  const OptimizeResult p = optimizer_.Optimize(q, StatsView(&catalog_));
+  OptimizeResult mutated = optimizer_.Optimize(q, StatsView(&catalog_));
+  mutated.plan.root->cost_local *= 3.0;
+  mutated.plan.root->est_rows += 100.0;
+  EXPECT_EQ(mutated.plan.Signature(), p.plan.Signature());
 }
 
 TEST_F(OptimizerTest, IndexSeekChosenForSelectivePredicate) {
@@ -156,15 +156,6 @@ TEST_F(OptimizerTest, PlanToStringMentionsOperators) {
   const std::string s = r.plan.root->ToString(t_.db, q);
   EXPECT_NE(s.find("Join"), std::string::npos);
   EXPECT_NE(s.find("fact"), std::string::npos);
-}
-
-TEST_F(OptimizerTest, CloneIsDeep) {
-  const Query q = testing::MakeJoinQuery(t_);
-  const OptimizeResult r = optimizer_.Optimize(q, StatsView(&catalog_));
-  auto clone = r.plan.root->Clone();
-  ASSERT_EQ(clone->children.size(), r.plan.root->children.size());
-  EXPECT_NE(clone->children[0].get(), r.plan.root->children[0].get());
-  EXPECT_EQ(clone->Signature(), r.plan.root->Signature());
 }
 
 }  // namespace

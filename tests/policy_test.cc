@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/aging.h"
 #include "core/auto_manager.h"
 #include "core/drop_list.h"
 #include "core/mnsa.h"
+#include "executor/executor.h"
+#include "rags/rags.h"
 #include "tests/test_util.h"
+#include "tpcd/dbgen.h"
+#include "tpcd/schema.h"
 
 namespace autostats {
 namespace {
@@ -227,6 +234,42 @@ TEST_F(PolicyTest, AgingReducesResurrectionChurn) {
   // Identical execution costs: aging only suppresses churn.
   EXPECT_NEAR(with.exec_cost, without.exec_cost,
               0.05 * without.exec_cost + 1.0);
+}
+
+// Whether the manager serves the plan MNSA handed back or optimizes
+// afresh, the query executes exactly the plan a fresh Optimize would
+// return against the statistics left behind.
+TEST(PolicyServingTest, ServedPlanExecutesLikeAFreshOptimize) {
+  const Database db = tpcd::BuildTpcdVariant("TPCD_MIX", 0.0005, 42);
+  rags::RagsConfig rc;
+  rc.num_statements = 40;
+  rc.complexity = rags::Complexity::kComplex;
+  rc.seed = 9;
+  rc.join_edges = tpcd::TpcdForeignKeys(db);
+  const Workload w = rags::Generate(db, rc);
+  for (const bool aging : {false, true}) {
+    for (const CreationMode mode :
+         {CreationMode::kMnsaOnTheFly, CreationMode::kMnsaDOnTheFly}) {
+      Database run_db = tpcd::BuildTpcdVariant("TPCD_MIX", 0.0005, 42);
+      StatsCatalog catalog(&run_db);
+      const Optimizer optimizer(&run_db);
+      const Executor executor(&run_db, optimizer.cost_model());
+      ManagerPolicy policy;
+      policy.mode = mode;
+      policy.enable_aging = aging;
+      policy.aging.cooldown_ticks = 5;
+      AutoStatsManager manager(&run_db, &catalog, &optimizer, policy);
+      for (const Statement& s : w.statements()) {
+        const AutoStatsManager::Outcome outcome = manager.Process(s);
+        const OptimizeResult fresh =
+            optimizer.Optimize(s.query, StatsView(&catalog));
+        ASSERT_EQ(std::bit_cast<uint64_t>(outcome.exec_cost),
+                  std::bit_cast<uint64_t>(
+                      executor.Execute(s.query, fresh.plan).work_units))
+            << s.query.name() << " aging=" << aging;
+      }
+    }
+  }
 }
 
 TEST_F(PolicyTest, ReportAggregation) {
