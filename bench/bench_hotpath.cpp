@@ -6,17 +6,19 @@
 //   1. Deterministic counts and checksums — selectivity checksums over a
 //      fixed probe grid (locking in the kernels' bit-identical contract),
 //      the join enumerator's bit-for-bit agreement with its reference,
+//      the statistic lookups' agreement with theirs,
 //      optimizer call accounting, WAL fsync/append counts of the
 //      per-statement commit path, and the workload's executed cost.
 //      Gated exactly: any drift on any machine is a semantic change, not
 //      noise.
 //
 //   2. In-process old-vs-new speedup ratios — the pre-optimization
-//      kernels (linear bucket scan, the tree-building join enumerator)
-//      are kept as reference implementations and timed against the
-//      shipped ones in the same process. Ratios are robust to machine
-//      speed, so they gate loosely (they still move with cache sizes and
-//      compilers, hence wide tolerances + absolute floors).
+//      kernels (linear bucket scan, the tree-building join enumerator,
+//      the sorted-key statistic lookups) are kept as reference
+//      implementations and timed against the shipped ones in the same
+//      process. Ratios are robust to machine speed, so they gate loosely
+//      (they still move with cache sizes and compilers, hence wide
+//      tolerances + absolute floors).
 //
 //   3. Absolute latencies and the PR 5 metrics percentiles — recorded for
 //      trend reading across the committed baselines, never gated.
@@ -32,10 +34,12 @@
 
 #include "bench/bench_util.h"
 #include "core/auto_manager.h"
+#include "core/mnsa.h"
 #include "stats/durability.h"
 #include "stats/histogram.h"
 #include "stats/maxdiff.h"
 #include "tests/reference_enumerator.h"
+#include "tests/reference_view.h"
 #include "tests/test_util.h"
 #include "tpcd/tuning.h"
 
@@ -217,18 +221,29 @@ void HistogramSection(BenchJson* json) {
 
 // --- Section 2: join enumeration -------------------------------------------
 
-void EnumeratorSection(BenchJson* json) {
-  // Complex Rags queries (up to 8 tables) on the tuned TPC-D mix, planned
-  // on an empty catalog: magic numbers everywhere, both index paths in
-  // play. Each query's cardinality model is built once and shared by the
-  // two enumerators, so the ratio times enumeration alone.
+// The tuned TPC-D mix and 100 complex Rags queries (up to 8 tables) over
+// it, shared by the enumerator and view-lookup sections.
+Database TunedTpcdMix() {
   Database db = tpcd::BuildTpcdVariant("TPCD_MIX", ScaleFactor(), 42);
   tpcd::ApplyTunedIndexes(&db);
+  return db;
+}
+
+Workload ComplexQueries(const Database& db) {
   rags::RagsConfig rc;
   rc.num_statements = 100;
   rc.complexity = rags::Complexity::kComplex;
   rc.join_edges = tpcd::TpcdForeignKeys(db);
-  const Workload w = rags::Generate(db, rc);
+  return rags::Generate(db, rc);
+}
+
+void EnumeratorSection(BenchJson* json) {
+  // The complex queries planned on an empty catalog: magic numbers
+  // everywhere, both index paths in play. Each query's cardinality model
+  // is built once and shared by the two enumerators, so the ratio times
+  // enumeration alone.
+  const Database db = TunedTpcdMix();
+  const Workload w = ComplexQueries(db);
   const std::vector<const Query*> queries = w.Queries();
   StatsCatalog catalog(&db);
   const Optimizer optimizer(&db);
@@ -277,7 +292,73 @@ void EnumeratorSection(BenchJson* json) {
   json->Add("enumerate_speedup", new_ms > 0 ? old_ms / new_ms : 0.0);
 }
 
-// --- Section 3: optimizer call accounting ----------------------------------
+// --- Section 3: statistic lookups ------------------------------------------
+
+void ViewLookupSection(BenchJson* json) {
+  // The catalog MNSA/D builds over the complex queries (39 active and 39
+  // drop-listed statistics at SF 0.0005); both lookups of each of their
+  // 933 filter and join columns, through the shipped one-pass view and
+  // the sorted-key reference.
+  const Database db = TunedTpcdMix();
+  const Workload w = ComplexQueries(db);
+  StatsCatalog catalog(&db);
+  const Optimizer optimizer(&db);
+  MnsaConfig mnsa_d;
+  mnsa_d.drop_detection = true;
+  std::vector<ColumnRef> columns;
+  for (const Query* q : w.Queries()) {
+    RunMnsa(optimizer, &catalog, *q, mnsa_d);
+    for (const FilterPredicate& f : q->filters()) columns.push_back(f.column);
+    for (const JoinPredicate& j : q->joins()) {
+      columns.push_back(j.left);
+      columns.push_back(j.right);
+    }
+  }
+  std::vector<std::vector<ColumnId>> sets;
+  for (const ColumnRef& c : columns) sets.push_back({c.column});
+  const StatsView view(&catalog);
+
+  bool matches = true;
+  for (size_t i = 0; i < columns.size(); ++i) {
+    const ColumnRef c = columns[i];
+    int len = -1, ref_len = -1;
+    matches = matches &&
+              view.HistogramFor(c) ==
+                  testing::ReferenceHistogramFor(view, c) &&
+              view.DensityFor(c.table, sets[i], &len) ==
+                  testing::ReferenceDensityFor(view, c.table, sets[i],
+                                               &ref_len) &&
+              len == ref_len;
+  }
+  json->Add("view_lookup_ref_matches", matches ? 1.0 : 0.0);
+
+  // Microseconds per lookup over `reps` sweeps; the shipped lookups get
+  // more sweeps so both timings run for tens of milliseconds.
+  const Statistic* volatile sink = nullptr;
+  auto us_per_lookup = [&](bool reference, int reps) {
+    const double ms = BestMs([&] {
+      int len = 0;
+      for (int r = 0; r < reps; ++r) {
+        for (size_t i = 0; i < columns.size(); ++i) {
+          const ColumnRef c = columns[i];
+          sink = reference ? testing::ReferenceHistogramFor(view, c)
+                           : view.HistogramFor(c);
+          sink = reference ? testing::ReferenceDensityFor(view, c.table,
+                                                          sets[i], &len)
+                           : view.DensityFor(c.table, sets[i], &len);
+        }
+      }
+    });
+    return ms * 1e3 / (2.0 * reps * static_cast<double>(columns.size()));
+  };
+  const double new_us = us_per_lookup(false, 50);
+  const double old_us = us_per_lookup(true, 5);
+  (void)sink;
+  json->Add("view_lookup_us", new_us);
+  json->Add("view_lookup_speedup", new_us > 0 ? old_us / new_us : 0.0);
+}
+
+// --- Section 4: optimizer call accounting ----------------------------------
 
 void ProbeSection(BenchJson* json) {
   TwoTableDb t = MakeTwoTableDb(4000, 100);
@@ -301,7 +382,7 @@ void ProbeSection(BenchJson* json) {
   json->Add("exec_cost_t1", WorkloadExecCost(t.db, catalog, optimizer, w));
 }
 
-// --- Section 4: WAL commit path -------------------------------------------
+// --- Section 5: WAL commit path -------------------------------------------
 
 Workload WalWorkload(const TwoTableDb& t) {
   Workload w("wal");
@@ -405,6 +486,7 @@ int main() {
   BenchJson json("hotpath");
   HistogramSection(&json);
   EnumeratorSection(&json);
+  ViewLookupSection(&json);
   ProbeSection(&json);
   WalSection(&json);
   if (!json.Write()) return 1;

@@ -172,7 +172,7 @@ class Shell {
       std::printf("%s\n", r.plan.root->ToString(db_, q).c_str());
       for (const SelVarBinding& b : r.uncertain) {
         std::printf("  uncertain: %s in [%.4g, %.4g]%s\n",
-                    b.description.c_str(), b.low, b.high,
+                    DescribeSelVar(db_, q, b.var).c_str(), b.low, b.high,
                     b.from_magic ? " (magic number)" : "");
       }
     } else {

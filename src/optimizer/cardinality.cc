@@ -9,7 +9,31 @@ namespace autostats {
 
 CardinalityModel::CardinalityModel(const Database* db, const Query* query,
                                    const SelectivityAnalysis* sel)
-    : db_(db), query_(query), sel_(sel) {}
+    : db_(db), query_(query), sel_(sel) {
+  const int n = query_->num_tables();
+  filtered_rows_.reserve(static_cast<size_t>(n));
+  for (int pos = 0; pos < n; ++pos) {
+    filtered_rows_.push_back(
+        std::max(1.0, BaseRows(pos) * sel_->table_sel(pos)));
+  }
+  // Pairs with >= 2 predicates use the combined pair selectivity (which
+  // may come from a multi-column statistic).
+  for (int pa = 0; pa < n; ++pa) {
+    for (int pb = pa + 1; pb < n; ++pb) {
+      const uint32_t pair = (1u << pa) | (1u << pb);
+      const int pair_idx = sel_->PairIndexFor(pa, pb);
+      if (pair_idx >= 0) {
+        join_factors_.push_back({pair, sel_->pair_sel(pair_idx)});
+        continue;
+      }
+      for (int j : query_->JoinIndicesBetween(
+               query_->tables()[static_cast<size_t>(pa)],
+               query_->tables()[static_cast<size_t>(pb)])) {
+        join_factors_.push_back({pair, sel_->join_sel(j)});
+      }
+    }
+  }
+}
 
 double CardinalityModel::BaseRows(int pos) const {
   const TableId t = query_->tables()[static_cast<size_t>(pos)];
@@ -17,31 +41,17 @@ double CardinalityModel::BaseRows(int pos) const {
 }
 
 double CardinalityModel::FilteredRows(int pos) const {
-  return std::max(1.0, BaseRows(pos) * sel_->table_sel(pos));
+  return filtered_rows_[static_cast<size_t>(pos)];
 }
 
 double CardinalityModel::JoinRows(uint32_t mask) const {
   double rows = 1.0;
-  for (int pos = 0; pos < query_->num_tables(); ++pos) {
-    if (mask & (1u << pos)) rows *= FilteredRows(pos);
+  for (size_t pos = 0; pos < filtered_rows_.size(); ++pos) {
+    if (mask & (1u << pos)) rows *= filtered_rows_[pos];
   }
-  // Apply join selectivities for every predicate whose two tables are both
-  // in the mask; pairs with >= 2 predicates use the combined pair
-  // selectivity (which may come from a multi-column statistic).
-  for (int pa = 0; pa < query_->num_tables(); ++pa) {
-    if (!(mask & (1u << pa))) continue;
-    for (int pb = pa + 1; pb < query_->num_tables(); ++pb) {
-      if (!(mask & (1u << pb))) continue;
-      const int pair = sel_->PairIndexFor(pa, pb);
-      if (pair >= 0) {
-        rows *= sel_->pair_sel(pair);
-        continue;
-      }
-      const std::vector<int> idx = query_->JoinIndicesBetween(
-          query_->tables()[static_cast<size_t>(pa)],
-          query_->tables()[static_cast<size_t>(pb)]);
-      for (int j : idx) rows *= sel_->join_sel(j);
-    }
+  // Every join predicate whose two tables are both in the mask.
+  for (const JoinFactor& f : join_factors_) {
+    if ((mask & f.pair) == f.pair) rows *= f.sel;
   }
   return std::max(1.0, rows);
 }

@@ -6,7 +6,6 @@
 #include <map>
 
 #include "common/check.h"
-#include "common/str_util.h"
 
 namespace autostats {
 
@@ -149,6 +148,22 @@ double IntersectedColumnSel(const Histogram& h, const Query& q,
   return Clamp01(h.SelectivityRange(iv.lo, iv.lo_incl, iv.hi, iv.hi_incl));
 }
 
+// Table pairs (pa < pb, in (pa, pb) order) joined by two or more
+// predicates: the kJoinConjunction variables, numbered in this order.
+std::vector<TablePairJoins> MultiPredicatePairs(const Query& query) {
+  std::vector<TablePairJoins> pairs;
+  for (int pa = 0; pa < query.num_tables(); ++pa) {
+    for (int pb = pa + 1; pb < query.num_tables(); ++pb) {
+      std::vector<int> idx = query.JoinIndicesBetween(
+          query.tables()[static_cast<size_t>(pa)],
+          query.tables()[static_cast<size_t>(pb)]);
+      if (idx.size() < 2) continue;
+      pairs.push_back(TablePairJoins{pa, pb, std::move(idx)});
+    }
+  }
+  return pairs;
+}
+
 }  // namespace
 
 int SelectivityAnalysis::PairIndexFor(int pos_a, int pos_b) const {
@@ -203,16 +218,14 @@ SelectivityAnalysis AnalyzeSelectivities(const Database& db,
     return true;
   };
   auto add_binding = [&](SelVar var, double value, double low, double high,
-                         bool from_magic, std::string desc) {
+                         bool from_magic) {
     SelVarBinding b;
     b.var = var;
     b.value = Clamp01(value);
     b.low = Clamp01(low);
     b.high = Clamp01(std::max(low, high));
     b.from_magic = from_magic;
-    b.description = std::move(desc);
-    a.bindings_.push_back(std::move(b));
-    return a.bindings_.back();
+    a.bindings_.push_back(b);
   };
 
   // Track which filters were overridden (they bypass intersection logic).
@@ -228,7 +241,7 @@ SelectivityAnalysis AnalyzeSelectivities(const Database& db,
       a.filter_sel_[i] = v;
       filter_overridden[i] = true;
       filter_pinned[i] = true;
-      add_binding(var, v, v, v, false, f.ToString(db));
+      add_binding(var, v, v, v, false);
       continue;
     }
     const Statistic* s = stats.HistogramFor(f.column);
@@ -236,11 +249,11 @@ SelectivityAnalysis AnalyzeSelectivities(const Database& db,
       const double sel = HistogramFilterSel(s->histogram(), f);
       a.filter_sel_[i] = sel;
       filter_pinned[i] = true;
-      add_binding(var, sel, sel, sel, false, f.ToString(db));
+      add_binding(var, sel, sel, sel, false);
     } else {
       const double sel = MagicFor(magic, f.op);
       a.filter_sel_[i] = sel;
-      add_binding(var, sel, epsilon, 1.0 - epsilon, true, f.ToString(db));
+      add_binding(var, sel, epsilon, 1.0 - epsilon, true);
     }
   }
 
@@ -256,8 +269,7 @@ SelectivityAnalysis AnalyzeSelectivities(const Database& db,
     double v = 0.0;
     if (override_of(var, &v)) {
       a.table_sel_[pos] = v;
-      add_binding(var, v, v, v, false,
-                  db.table(table).schema().table_name() + " conjunction");
+      add_binding(var, v, v, v, false);
       continue;
     }
 
@@ -321,8 +333,7 @@ SelectivityAnalysis AnalyzeSelectivities(const Database& db,
       const double sel = Clamp01(multi->grid2d().SelectivityBox(
           iv[0].box_lo(), iv[0].box_hi(), iv[1].box_lo(), iv[1].box_hi()));
       a.table_sel_[pos] = sel;
-      add_binding(var, sel, sel, sel, false,
-                  db.table(table).schema().table_name() + " conjunction");
+      add_binding(var, sel, sel, sel, false);
       continue;
     }
     // Prefix densities describe joint *distinct* counts, which is sound
@@ -352,8 +363,7 @@ SelectivityAnalysis AnalyzeSelectivities(const Database& db,
           std::max(1.0, v_product / multi->PrefixDistinct(prefix_len));
       const double sel = Clamp01(std::min(product * corr, min_sel));
       a.table_sel_[pos] = sel;
-      add_binding(var, sel, sel, sel, false,
-                  db.table(table).schema().table_name() + " conjunction");
+      add_binding(var, sel, sel, sel, false);
       continue;
     }
 
@@ -363,8 +373,7 @@ SelectivityAnalysis AnalyzeSelectivities(const Database& db,
       // to decide whether the multi-column statistic is worth building.
       const double frechet_low =
           std::max(kMinSel, sum - (static_cast<double>(col_sel.size()) - 1.0));
-      add_binding(var, product, frechet_low, min_sel, false,
-                  db.table(table).schema().table_name() + " conjunction");
+      add_binding(var, product, frechet_low, min_sel, false);
     }
   }
 
@@ -394,7 +403,7 @@ SelectivityAnalysis AnalyzeSelectivities(const Database& db,
     if (override_of(var, &v)) {
       a.join_sel_[j] = v;
       join_pinned[j] = true;
-      add_binding(var, v, v, v, false, jp.ToString(db));
+      add_binding(var, v, v, v, false);
       continue;
     }
     record_skew(jp.left);
@@ -406,43 +415,31 @@ SelectivityAnalysis AnalyzeSelectivities(const Database& db,
       const double sel = Clamp01(1.0 / std::max({vl, vr, 1.0}));
       a.join_sel_[j] = sel;
       join_pinned[j] = true;
-      add_binding(var, sel, sel, sel, false, jp.ToString(db));
+      add_binding(var, sel, sel, sel, false);
     } else if (has_l || has_r) {
       // One-sided: 1/V(known) is an upper bound on 1/max(Vl, Vr).
       const double known = std::max(has_l ? vl : vr, 1.0);
       const double sel = Clamp01(1.0 / known);
       a.join_sel_[j] = sel;
-      add_binding(var, sel, kMinSel, sel, false, jp.ToString(db));
+      add_binding(var, sel, kMinSel, sel, false);
     } else {
       a.join_sel_[j] = Clamp01(magic.join);
-      add_binding(var, magic.join, epsilon, 1.0 - epsilon, true,
-                  jp.ToString(db));
+      add_binding(var, magic.join, epsilon, 1.0 - epsilon, true);
     }
   }
 
   // --- 4. Multi-predicate table pairs ---
-  for (int pa = 0; pa < query.num_tables(); ++pa) {
-    for (int pb = pa + 1; pb < query.num_tables(); ++pb) {
-      std::vector<int> idx = query.JoinIndicesBetween(
-          query.tables()[static_cast<size_t>(pa)],
-          query.tables()[static_cast<size_t>(pb)]);
-      if (idx.size() < 2) continue;
-      a.pairs_.push_back(TablePairJoins{pa, pb, idx});
-    }
-  }
+  a.pairs_ = MultiPredicatePairs(query);
   a.pair_sel_.assign(a.pairs_.size(), 1.0);
   for (size_t p = 0; p < a.pairs_.size(); ++p) {
     const TablePairJoins& pr = a.pairs_[p];
     const SelVar var{SelVar::Kind::kJoinConjunction, static_cast<int>(p)};
     const TableId ta = query.tables()[static_cast<size_t>(pr.pos_a)];
     const TableId tb = query.tables()[static_cast<size_t>(pr.pos_b)];
-    const std::string desc = db.table(ta).schema().table_name() + "-" +
-                             db.table(tb).schema().table_name() +
-                             " join conjunction";
     double v = 0.0;
     if (override_of(var, &v)) {
       a.pair_sel_[p] = v;
-      add_binding(var, v, v, v, false, desc);
+      add_binding(var, v, v, v, false);
       continue;
     }
     double product = 1.0, min_sel = 1.0;
@@ -470,12 +467,12 @@ SelectivityAnalysis AnalyzeSelectivities(const Database& db,
           1.0 / std::max({sa->PrefixDistinct(len_a),
                           sb->PrefixDistinct(len_b), 1.0}));
       a.pair_sel_[p] = sel;
-      add_binding(var, sel, sel, sel, false, desc);
+      add_binding(var, sel, sel, sel, false);
       continue;
     }
     a.pair_sel_[p] = Clamp01(product);
     if (all_pinned) {
-      add_binding(var, product, kMinSel, min_sel, false, desc);
+      add_binding(var, product, kMinSel, min_sel, false);
     }
   }
 
@@ -487,12 +484,10 @@ SelectivityAnalysis AnalyzeSelectivities(const Database& db,
     const double rows =
         std::max(1.0, static_cast<double>(db.table(table).num_rows()));
     const SelVar var{SelVar::Kind::kGroupBy, static_cast<int>(pos)};
-    const std::string desc =
-        "GROUP BY fraction of " + db.table(table).schema().table_name();
     double v = 0.0;
     if (override_of(var, &v)) {
       a.group_distinct_[pos] = std::max(1.0, v * rows);
-      add_binding(var, v, v, v, false, desc);
+      add_binding(var, v, v, v, false);
       continue;
     }
     std::vector<ColumnId> col_ids;
@@ -504,7 +499,7 @@ SelectivityAnalysis AnalyzeSelectivities(const Database& db,
         const double d = multi->PrefixDistinct(prefix_len);
         a.group_distinct_[pos] = std::max(1.0, d);
         const double f = Clamp01(d / rows);
-        add_binding(var, f, f, f, false, desc);
+        add_binding(var, f, f, f, false);
         continue;
       }
     }
@@ -522,22 +517,48 @@ SelectivityAnalysis AnalyzeSelectivities(const Database& db,
     if (!all_present) {
       const double f = magic.group_by_fraction;
       a.group_distinct_[pos] = std::max(1.0, f * rows);
-      add_binding(var, f, epsilon, 1.0 - epsilon, true, desc);
+      add_binding(var, f, epsilon, 1.0 - epsilon, true);
       continue;
     }
     const double d = std::min(v_product, rows);
     a.group_distinct_[pos] = std::max(1.0, d);
     const double f = Clamp01(d / rows);
     if (gcols.size() == 1) {
-      add_binding(var, f, f, f, false, desc);
+      add_binding(var, f, f, f, false);
     } else {
       // Correlation uncertainty between independence product and the
       // largest single-column distinct count.
-      add_binding(var, f, Clamp01(v_max / rows), f, false, desc);
+      add_binding(var, f, Clamp01(v_max / rows), f, false);
     }
   }
 
   return a;
+}
+
+std::string DescribeSelVar(const Database& db, const Query& query,
+                           const SelVar& var) {
+  const size_t i = static_cast<size_t>(var.index);
+  auto table_name = [&](int pos) -> const std::string& {
+    return db.table(query.tables()[static_cast<size_t>(pos)])
+        .schema()
+        .table_name();
+  };
+  switch (var.kind) {
+    case SelVar::Kind::kFilter:
+      return query.filters()[i].ToString(db);
+    case SelVar::Kind::kJoin:
+      return query.joins()[i].ToString(db);
+    case SelVar::Kind::kTableConjunction:
+      return table_name(var.index) + " conjunction";
+    case SelVar::Kind::kJoinConjunction: {
+      const std::vector<TablePairJoins> pairs = MultiPredicatePairs(query);
+      return table_name(pairs[i].pos_a) + "-" + table_name(pairs[i].pos_b) +
+             " join conjunction";
+    }
+    case SelVar::Kind::kGroupBy:
+      return "GROUP BY fraction of " + table_name(var.index);
+  }
+  return "";
 }
 
 }  // namespace autostats

@@ -69,7 +69,6 @@ struct SelVarBinding {
   double low = 0.0;    // residual uncertainty interval
   double high = 0.0;
   bool from_magic = false;  // value is a default constant
-  std::string description;  // human-readable ("lineitem.l_qty < 24")
 
   bool pinned() const { return high - low <= 1e-12; }
 };
@@ -138,6 +137,12 @@ SelectivityAnalysis AnalyzeSelectivities(
     const Database& db, const Query& query, const StatsView& stats,
     const MagicNumbers& magic, const SelectivityOverrides& overrides = {},
     double epsilon = kDefaultEpsilon);
+
+// Human-readable text of one selectivity variable of `query`
+// ("lineitem.l_quantity < 24", "orders conjunction", ...). Built on
+// demand for reports; the analysis itself formats nothing.
+std::string DescribeSelVar(const Database& db, const Query& query,
+                           const SelVar& var);
 
 }  // namespace autostats
 

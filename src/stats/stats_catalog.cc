@@ -94,6 +94,23 @@ bool SameStatistic(const Statistic& a, const Statistic& b) {
   return !a.has_grid2d() || SameGrid(a.grid2d(), b.grid2d());
 }
 
+// True when the first |columns| columns of `s` equal `columns` as a
+// multiset (order-insensitive), counted in place.
+bool PrefixMatchesSet(const Statistic& s,
+                      const std::vector<ColumnId>& columns) {
+  const size_t k = columns.size();
+  for (size_t i = 0; i < k; ++i) {
+    const ColumnId c = s.columns()[i].column;
+    size_t in_prefix = 0, in_set = 0;
+    for (size_t j = 0; j < k; ++j) {
+      in_prefix += s.columns()[j].column == c;
+      in_set += columns[j] == c;
+    }
+    if (in_prefix != in_set) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 StatsCatalog::StatsCatalog(const Database* db, StatsBuildConfig build_config,
@@ -590,12 +607,20 @@ bool StatsView::IsVisible(const StatKey& key) const {
 }
 
 const Statistic* StatsView::HistogramFor(ColumnRef column) const {
+  const StatKey* best_key = nullptr;
   const Statistic* best = nullptr;
-  for (const StatKey& key : catalog_->ActiveKeys()) {
+  for (const auto& [key, entry] : catalog_->entries_) {
+    const Statistic& s = entry.stat;
+    if (entry.in_drop_list || !(s.leading_column() == column)) continue;
+    // The narrowest wins; among equally narrow ones, the smaller key.
+    if (best != nullptr && (s.width() != best->width()
+                                ? s.width() > best->width()
+                                : !(key < *best_key))) {
+      continue;
+    }
     if (ignored_.count(key)) continue;
-    const Statistic* s = catalog_->Find(key);
-    if (s == nullptr || !(s->leading_column() == column)) continue;
-    if (best == nullptr || s->width() < best->width()) best = s;
+    best_key = &key;
+    best = &s;
   }
   return best;
 }
@@ -603,29 +628,25 @@ const Statistic* StatsView::HistogramFor(ColumnRef column) const {
 const Statistic* StatsView::DensityFor(TableId table,
                                        const std::vector<ColumnId>& columns,
                                        int* prefix_len) const {
-  // Look for a visible statistic on `table` whose leading prefix of length
-  // |columns| equals `columns` as a set.
-  std::vector<ColumnId> want = columns;
-  std::sort(want.begin(), want.end());
-  for (const StatKey& key : catalog_->ActiveKeys()) {
-    if (ignored_.count(key)) continue;
-    const Statistic* s = catalog_->Find(key);
-    if (s == nullptr || s->table() != table) continue;
-    if (s->width() < static_cast<int>(columns.size())) continue;
-    std::vector<ColumnId> prefix;
-    prefix.reserve(columns.size());
-    for (size_t i = 0; i < columns.size(); ++i) {
-      prefix.push_back(s->columns()[i].column);
+  // A visible statistic on `table` whose leading prefix of length
+  // |columns| equals `columns` as a set; the smallest key wins.
+  const StatKey* best_key = nullptr;
+  const Statistic* best = nullptr;
+  for (const auto& [key, entry] : catalog_->entries_) {
+    const Statistic& s = entry.stat;
+    if (entry.in_drop_list || s.table() != table ||
+        s.width() < static_cast<int>(columns.size())) {
+      continue;
     }
-    std::sort(prefix.begin(), prefix.end());
-    if (prefix == want) {
-      if (prefix_len != nullptr) {
-        *prefix_len = static_cast<int>(columns.size());
-      }
-      return s;
-    }
+    if (best_key != nullptr && !(key < *best_key)) continue;
+    if (!PrefixMatchesSet(s, columns) || ignored_.count(key)) continue;
+    best_key = &key;
+    best = &s;
   }
-  return nullptr;
+  if (best != nullptr && prefix_len != nullptr) {
+    *prefix_len = static_cast<int>(columns.size());
+  }
+  return best;
 }
 
 }  // namespace autostats

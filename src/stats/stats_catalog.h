@@ -255,6 +255,9 @@ class StatsCatalog {
   std::vector<StatKey> FlagAllPendingFullRebuild();
 
  private:
+  // Lookups scan `entries_` in place: one pass, no key copies.
+  friend class StatsView;
+
   void BumpStatsVersion() { ++stats_version_; }
 
   void NotifyEntry(const StatKey& key) {
@@ -304,6 +307,11 @@ class StatsView {
   }
 
   bool IsVisible(const StatKey& key) const;
+
+  // Both lookups make one pass over the catalog's entries and keep no
+  // state between calls, so no catalog mutation has anything to
+  // invalidate. Ties break by the smaller StatKey string (compared as
+  // strings: "5:1,10" < "5:1,2").
 
   // The statistic providing a histogram for `column`: an active, visible
   // statistic whose leading column is `column` (narrowest width wins, so

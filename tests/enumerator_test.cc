@@ -4,6 +4,7 @@
 // the tree-building reference enumerator (tests/reference_enumerator.h).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 
 #include "core/candidate.h"
@@ -296,6 +297,80 @@ TEST_F(EnumeratorTest, MatchesReferenceBitForBit) {
   // The tuned indexes put both index paths into the compared trees.
   EXPECT_GT(index_nlj_nodes, 0);
   EXPECT_GT(index_seek_nodes, 0);
+}
+
+// The enumerators above share one CardinalityModel, so that comparison
+// cannot see a JoinRows change: every subset's rows are compared here, by
+// bit pattern, with the per-subset derivation, over the same databases,
+// streams and overrides.
+TEST_F(EnumeratorTest, JoinRowsMatchesReferenceBitForBit) {
+  const auto bits = [](double d) { return std::bit_cast<uint64_t>(d); };
+  int64_t compared = 0;
+  for (const bool indexed : {false, true}) {
+    Database db = tpcd::BuildTpcdVariant("TPCD_MIX", 0.0005, 42);
+    if (indexed) tpcd::ApplyTunedIndexes(&db);
+    const Optimizer optimizer(&db);
+    const OptimizerConfig& oc = optimizer.config();
+    for (const rags::Complexity complexity :
+         {rags::Complexity::kSimple, rags::Complexity::kComplex}) {
+      rags::RagsConfig rc;
+      rc.num_statements = 30;
+      rc.complexity = complexity;
+      rc.seed = 11;
+      rc.join_edges = tpcd::TpcdForeignKeys(db);
+      const Workload w = rags::Generate(db, rc);
+      StatsCatalog catalog(&db);
+      MnsaConfig mnsa_d;
+      mnsa_d.drop_detection = true;
+      for (const Query* q : w.Queries()) {
+        const StatsView view(&catalog);
+        const std::vector<SelVarBinding> bindings =
+            optimizer.Optimize(*q, view).bindings;
+        for (const SelectivityOverrides& overrides :
+             {SelectivityOverrides{}, AllAt(bindings, false),
+              AllAt(bindings, true)}) {
+          const SelectivityAnalysis sel = AnalyzeSelectivities(
+              db, *q, view, oc.magic, overrides, oc.epsilon);
+          const CardinalityModel card(&db, q, &sel);
+          const uint32_t full = (1u << q->num_tables()) - 1u;
+          for (uint32_t mask = 1; mask <= full; ++mask) {
+            ASSERT_EQ(bits(card.JoinRows(mask)),
+                      bits(testing::ReferenceJoinRows(*q, card, mask)))
+                << q->name() << " mask=" << mask;
+            ++compared;
+          }
+        }
+        RunMnsa(optimizer, &catalog, *q, mnsa_d);
+      }
+    }
+  }
+  EXPECT_GT(compared, 10000);
+
+  // Rags joins one key pair per table pair; a pair joined by two
+  // predicates takes the combined pair selectivity instead.
+  Query q("two_predicates");
+  q.AddTable(t_.fact);
+  q.AddTable(t_.dim);
+  q.AddJoin({t_.fact_fk, t_.dim_pk});
+  q.AddJoin({t_.fact_grp, t_.dim_attr});
+  q.AddFilter({t_.fact_val, CompareOp::kLt, Datum(int64_t{50}), Datum()});
+  for (const bool with_stats : {false, true}) {
+    if (with_stats) {
+      for (const ColumnRef c :
+           {t_.fact_fk, t_.dim_pk, t_.fact_grp, t_.dim_attr, t_.fact_val}) {
+        catalog_.CreateStatistic({c});
+      }
+    }
+    const SelectivityAnalysis sel = AnalyzeSelectivities(
+        t_.db, q, StatsView(&catalog_), MagicNumbers{});
+    ASSERT_EQ(sel.pairs().size(), 1u);
+    const CardinalityModel card(&t_.db, &q, &sel);
+    for (uint32_t mask = 1; mask <= 3u; ++mask) {
+      EXPECT_EQ(bits(card.JoinRows(mask)),
+                bits(testing::ReferenceJoinRows(q, card, mask)))
+          << "mask=" << mask << " with_stats=" << with_stats;
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,12 @@
 // enumerator keeps only numbers per table subset and builds one tree at
 // the end; enumerator_test checks the two agree on every node field, bit
 // for bit (PlanDiff), and bench_hotpath times them against each other.
+//
+// ReferenceJoinRows is the per-subset CardinalityModel::JoinRows that
+// optimizer/cardinality.cc replaced: it re-derives every table pair's join
+// predicates for each subset. Both enumerators above share one
+// CardinalityModel, so only enumerator_test's JoinRows comparison can see
+// a change to it.
 #ifndef AUTOSTATS_TESTS_REFERENCE_ENUMERATOR_H_
 #define AUTOSTATS_TESTS_REFERENCE_ENUMERATOR_H_
 
@@ -110,6 +116,39 @@ inline void Consider(JoinAlternative* best, std::unique_ptr<PlanNode> node) {
 }
 
 }  // namespace reference_internal
+
+// Rows of the join of the tables in `mask`, as CardinalityModel::JoinRows
+// computed them per subset.
+inline double ReferenceJoinRows(const Query& query,
+                                const CardinalityModel& card,
+                                uint32_t mask) {
+  const SelectivityAnalysis& sel = card.sel();
+  double rows = 1.0;
+  for (int pos = 0; pos < query.num_tables(); ++pos) {
+    if (mask & (1u << pos)) {
+      rows *= std::max(1.0, card.BaseRows(pos) * sel.table_sel(pos));
+    }
+  }
+  // Apply join selectivities for every predicate whose two tables are both
+  // in the mask; pairs with >= 2 predicates use the combined pair
+  // selectivity (which may come from a multi-column statistic).
+  for (int pa = 0; pa < query.num_tables(); ++pa) {
+    if (!(mask & (1u << pa))) continue;
+    for (int pb = pa + 1; pb < query.num_tables(); ++pb) {
+      if (!(mask & (1u << pb))) continue;
+      const int pair = sel.PairIndexFor(pa, pb);
+      if (pair >= 0) {
+        rows *= sel.pair_sel(pair);
+        continue;
+      }
+      const std::vector<int> idx = query.JoinIndicesBetween(
+          query.tables()[static_cast<size_t>(pa)],
+          query.tables()[static_cast<size_t>(pb)]);
+      for (int j : idx) rows *= sel.join_sel(j);
+    }
+  }
+  return std::max(1.0, rows);
+}
 
 inline Plan ReferenceEnumerateJoins(const Database& db, const Query& query,
                                     const CardinalityModel& card,

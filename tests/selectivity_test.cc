@@ -415,5 +415,45 @@ TEST_F(SelectivityTest, EpsilonParameterShapesMagicBounds) {
   EXPECT_NEAR(b->high, 0.99, 1e-12);
 }
 
+// --- descriptions ---
+
+TEST_F(SelectivityTest, DescribeSelVarNamesEveryKind) {
+  Query q("q");
+  q.AddTable(t_.dim);   // position 0
+  q.AddTable(t_.fact);  // position 1
+  q.AddFilter({t_.fact_val, CompareOp::kLt, Datum(int64_t{50}), Datum()});
+  q.AddFilter({t_.fact_flag, CompareOp::kEq, Datum(int64_t{1}), Datum()});
+  q.AddFilter({t_.dim_attr, CompareOp::kBetween, Datum(int64_t{2}),
+               Datum(int64_t{5})});
+  q.AddJoin({t_.fact_fk, t_.dim_pk});
+  q.AddJoin({t_.dim_attr, t_.fact_grp});
+  q.AddGroupBy(t_.fact_grp);
+  q.AddGroupBy(t_.dim_attr);
+  // Pinned filters and joins give the two conjunctions a binding too.
+  for (const ColumnRef c : {t_.fact_val, t_.fact_flag, t_.fact_fk, t_.dim_pk,
+                            t_.fact_grp, t_.dim_attr}) {
+    catalog_.CreateStatistic({c});
+  }
+  const SelectivityAnalysis a = Analyze(q);
+
+  using K = SelVar::Kind;
+  const std::vector<std::pair<SelVar, std::string>> want = {
+      {{K::kFilter, 0}, "fact.val < 50"},
+      {{K::kFilter, 1}, "fact.flag = 1"},
+      {{K::kFilter, 2}, "dim.attr BETWEEN 2 AND 5"},
+      {{K::kTableConjunction, 1}, "fact conjunction"},
+      {{K::kJoin, 0}, "fact.fk = dim.pk"},
+      {{K::kJoin, 1}, "dim.attr = fact.grp"},
+      {{K::kJoinConjunction, 0}, "dim-fact join conjunction"},
+      {{K::kGroupBy, 0}, "GROUP BY fraction of dim"},
+      {{K::kGroupBy, 1}, "GROUP BY fraction of fact"},
+  };
+  ASSERT_EQ(a.bindings().size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(a.bindings()[i].var, want[i].first) << i;
+    EXPECT_EQ(DescribeSelVar(t_.db, q, want[i].first), want[i].second);
+  }
+}
+
 }  // namespace
 }  // namespace autostats

@@ -1,10 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+
+#include "core/mnsa.h"
+#include "optimizer/optimizer.h"
+#include "rags/rags.h"
 #include "stats/builder.h"
 #include "stats/distinct.h"
 #include "stats/stats_catalog.h"
 #include "stats/stats_cost.h"
+#include "tests/reference_view.h"
 #include "tests/test_util.h"
+#include "tpcd/dbgen.h"
+#include "tpcd/schema.h"
 
 namespace autostats {
 namespace {
@@ -247,6 +257,187 @@ TEST_F(StatsCatalogTest, DensityForUsesPrefixOfWiderStat) {
   EXPECT_EQ(view.DensityFor(t_.fact, {t_.fact_grp.column, t_.fact_flag.column},
                             &len),
             nullptr);
+}
+
+TEST(StatsViewTest, ViewBreaksTiesByKeyString) {
+  // lineitem has 16 columns: ids 2 and 10 order one way as numbers and
+  // the other way inside key strings ("7:1,10" < "7:1,2").
+  const Database db = tpcd::BuildTpcdVariant("TPCD_0", 0.0005, 42);
+  const TableId lineitem = db.FindTable("lineitem");
+  const auto col = [&](ColumnId c) { return ColumnRef{lineitem, c}; };
+
+  // Histogram: two width-2 statistics lead with column 1; the smaller
+  // key string wins.
+  {
+    StatsCatalog catalog(&db);
+    catalog.CreateStatistic({col(1), col(2)});
+    catalog.CreateStatistic({col(1), col(10)});
+    const StatKey k2 = MakeStatKey({col(1), col(2)});
+    const StatKey k10 = MakeStatKey({col(1), col(10)});
+    ASSERT_LT(k10, k2);
+    const Statistic* winner = catalog.Find(k10);
+    const Statistic* other = catalog.Find(k2);
+    ASSERT_NE(winner, nullptr);
+    ASSERT_NE(other, nullptr);
+    StatsView view(&catalog);
+    EXPECT_EQ(view.HistogramFor(col(1)), winner);
+    EXPECT_EQ(testing::ReferenceHistogramFor(view, col(1)), winner);
+    view.Ignore(k10);
+    EXPECT_EQ(view.HistogramFor(col(1)), other);
+    EXPECT_EQ(testing::ReferenceHistogramFor(view, col(1)), other);
+
+    catalog.MoveToDropList(k10);
+    const StatsView dropped(&catalog);
+    EXPECT_EQ(dropped.HistogramFor(col(1)), other);
+    EXPECT_EQ(testing::ReferenceHistogramFor(dropped, col(1)), other);
+    catalog.RemoveFromDropList(k10);
+    EXPECT_EQ(dropped.HistogramFor(col(1)), winner);
+  }
+
+  // Density: two width-3 statistics whose 2-prefixes are the set
+  // {2, 10}; the smaller key string ("7:10,2,3") wins, although its
+  // leading column id is the larger one.
+  {
+    StatsCatalog catalog(&db);
+    catalog.CreateStatistic({col(2), col(10), col(3)});
+    catalog.CreateStatistic({col(10), col(2), col(3)});
+    const StatKey k_2 = MakeStatKey({col(2), col(10), col(3)});
+    const StatKey k_10 = MakeStatKey({col(10), col(2), col(3)});
+    ASSERT_LT(k_10, k_2);
+    const Statistic* winner = catalog.Find(k_10);
+    const Statistic* other = catalog.Find(k_2);
+    ASSERT_NE(winner, nullptr);
+    ASSERT_NE(other, nullptr);
+    const std::vector<ColumnId> set = {2, 10};
+    StatsView view(&catalog);
+    int len = 0;
+    EXPECT_EQ(view.DensityFor(lineitem, set, &len), winner);
+    EXPECT_EQ(len, 2);
+    EXPECT_EQ(view.DensityFor(lineitem, {10, 2}, &len), winner);
+    EXPECT_EQ(testing::ReferenceDensityFor(view, lineitem, set, &len), winner);
+    view.Ignore(k_10);
+    len = 0;
+    EXPECT_EQ(view.DensityFor(lineitem, set, &len), other);
+    EXPECT_EQ(len, 2);
+    EXPECT_EQ(testing::ReferenceDensityFor(view, lineitem, set, &len), other);
+
+    catalog.MoveToDropList(k_10);
+    const StatsView dropped(&catalog);
+    EXPECT_EQ(dropped.DensityFor(lineitem, set, &len), other);
+    EXPECT_EQ(testing::ReferenceDensityFor(dropped, lineitem, set, &len),
+              other);
+  }
+}
+
+// Every column and column set AnalyzeSelectivities can look up for `q`:
+// each filter, join and group-by column alone, and per table its filter
+// columns, its group-by columns and each side of a multi-predicate join.
+struct ViewLookups {
+  std::vector<ColumnRef> columns;
+  std::vector<std::pair<TableId, std::vector<ColumnId>>> sets;
+};
+
+ViewLookups LookupsOf(const Query& q) {
+  ViewLookups out;
+  for (const FilterPredicate& f : q.filters()) out.columns.push_back(f.column);
+  for (const JoinPredicate& j : q.joins()) {
+    out.columns.push_back(j.left);
+    out.columns.push_back(j.right);
+  }
+  for (const ColumnRef& g : q.group_by()) out.columns.push_back(g);
+  for (const ColumnRef& c : out.columns) {
+    out.sets.push_back({c.table, {c.column}});
+  }
+  for (const TableId table : q.tables()) {
+    std::vector<ColumnId> filter_cols;
+    for (const int i : q.FilterIndicesOf(table)) {
+      const ColumnId c = q.filters()[static_cast<size_t>(i)].column.column;
+      if (std::find(filter_cols.begin(), filter_cols.end(), c) ==
+          filter_cols.end()) {
+        filter_cols.push_back(c);
+      }
+    }
+    std::vector<ColumnId> group_cols;
+    for (const ColumnRef& g : q.GroupByColumnsOf(table)) {
+      group_cols.push_back(g.column);
+    }
+    for (auto& cols : {filter_cols, group_cols}) {
+      if (cols.size() >= 2) out.sets.push_back({table, cols});
+    }
+    for (const TableId other : q.tables()) {
+      const std::vector<int> between = q.JoinIndicesBetween(table, other);
+      if (other == table || between.size() < 2) continue;
+      std::vector<ColumnId> side;
+      for (const int j : between) {
+        const JoinPredicate& jp = q.joins()[static_cast<size_t>(j)];
+        side.push_back(jp.left.table == table ? jp.left.column
+                                              : jp.right.column);
+      }
+      out.sets.push_back({table, side});
+    }
+  }
+  return out;
+}
+
+TEST(StatsViewTest, ViewLookupsMatchReference) {
+  const Database db = tpcd::BuildTpcdVariant("TPCD_MIX", 0.0005, 42);
+  rags::RagsConfig rc;
+  rc.num_statements = 100;
+  rc.complexity = rags::Complexity::kComplex;
+  rc.seed = 5;
+  rc.join_edges = tpcd::TpcdForeignKeys(db);
+  const Workload w = rags::Generate(db, rc);
+  StatsCatalog catalog(&db);
+  int64_t compared = 0, histogram_hits = 0, multi_column_hits = 0;
+  // Both lookups of `q` through a view hiding nothing and through one
+  // hiding every third active key.
+  auto check = [&](const Query& q) {
+    const std::vector<StatKey> active = catalog.ActiveKeys();
+    StatsView all(&catalog);
+    StatsView partial(&catalog);
+    for (size_t i = 0; i < active.size(); i += 3) partial.Ignore(active[i]);
+    const ViewLookups lookups = LookupsOf(q);
+    for (const StatsView* view : {&all, &partial}) {
+      for (const ColumnRef& c : lookups.columns) {
+        const Statistic* got = view->HistogramFor(c);
+        ASSERT_EQ(got, testing::ReferenceHistogramFor(*view, c))
+            << q.name() << " column " << db.ColumnName(c);
+        histogram_hits += got != nullptr;
+        ++compared;
+      }
+      for (const auto& [table, cols] : lookups.sets) {
+        int got_len = -1, want_len = -1;
+        const Statistic* got = view->DensityFor(table, cols, &got_len);
+        ASSERT_EQ(got,
+                  testing::ReferenceDensityFor(*view, table, cols, &want_len))
+            << q.name() << " table " << table << " width " << cols.size();
+        ASSERT_EQ(got_len, want_len) << q.name();
+        multi_column_hits += got != nullptr && cols.size() >= 2;
+        ++compared;
+      }
+    }
+  };
+
+  // The catalog evolves under MNSA/D: creations, drops and resurrections.
+  const Optimizer optimizer(&db);
+  MnsaConfig mnsa_d;
+  mnsa_d.drop_detection = true;
+  for (const Query* q : w.Queries()) {
+    RunMnsa(optimizer, &catalog, *q, mnsa_d);
+    ASSERT_NO_FATAL_FAILURE(check(*q));
+  }
+  EXPECT_GT(catalog.num_active(), 25u);
+  EXPECT_GT(histogram_hits, 1000);
+  // MNSA/D drop-lists every multi-column statistic here; resurrecting
+  // them puts overlapping prefixes ((0,1), (1,0), (0,1,2), ...) of one
+  // table in view, so the multi-column density lookups have ties to break.
+  ASSERT_GT(catalog.num_drop_listed(), 10u);
+  for (const StatKey& key : catalog.DropListKeys()) {
+    catalog.RemoveFromDropList(key);
+  }
+  for (const Query* q : w.Queries()) ASSERT_NO_FATAL_FAILURE(check(*q));
+  EXPECT_GT(compared, 6000);
+  EXPECT_GT(multi_column_hits, 20);
 }
 
 }  // namespace
