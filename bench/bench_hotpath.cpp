@@ -6,7 +6,7 @@
 //   1. Deterministic counts and checksums — selectivity checksums over a
 //      fixed probe grid (locking in the kernels' bit-identical contract),
 //      the join enumerator's bit-for-bit agreement with its reference,
-//      the statistic lookups' agreement with theirs,
+//      the statistic lookups' and the executor's agreement with theirs,
 //      optimizer call accounting, WAL fsync/append counts of the
 //      per-statement commit path, and the workload's executed cost.
 //      Gated exactly: any drift on any machine is a semantic change, not
@@ -14,7 +14,8 @@
 //
 //   2. In-process old-vs-new speedup ratios — the pre-optimization
 //      kernels (linear bucket scan, the tree-building join enumerator,
-//      the sorted-key statistic lookups) are kept as reference
+//      the sorted-key statistic lookups, the Datum-per-cell executor, the
+//      bytewise CRC-32) are kept as reference
 //      implementations and timed against the shipped ones in the same
 //      process. Ratios are robust to machine speed, so they gate loosely
 //      (they still move with cache sizes and compilers, hence wide
@@ -30,15 +31,18 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "core/auto_manager.h"
 #include "core/mnsa.h"
+#include "executor/executor.h"
 #include "stats/durability.h"
 #include "stats/histogram.h"
 #include "stats/maxdiff.h"
 #include "tests/reference_enumerator.h"
+#include "tests/reference_executor.h"
 #include "tests/reference_view.h"
 #include "tests/test_util.h"
 #include "tpcd/tuning.h"
@@ -77,6 +81,24 @@ double BestMs(const std::function<void()>& fn, int rounds = 5) {
     best = std::min(best, t.ElapsedMs());
   }
   return best;
+}
+
+// Best-of-N wall times of `a` and `b`, timed in alternation so that slow
+// drift (the host's speed, a sanitizer's allocator state) reaches both.
+std::pair<double, double> BestMsInterleaved(const std::function<void()>& a,
+                                            const std::function<void()>& b,
+                                            int rounds = 7) {
+  double best_a = std::numeric_limits<double>::infinity();
+  double best_b = best_a;
+  for (int r = 0; r < rounds; ++r) {
+    WallTimer ta;
+    a();
+    best_a = std::min(best_a, ta.ElapsedMs());
+    WallTimer tb;
+    b();
+    best_b = std::min(best_b, tb.ElapsedMs());
+  }
+  return {best_a, best_b};
 }
 
 // --- Reference (pre-optimization) kernels ---------------------------------
@@ -358,7 +380,96 @@ void ViewLookupSection(BenchJson* json) {
   json->Add("view_lookup_speedup", new_us > 0 ? old_us / new_us : 0.0);
 }
 
-// --- Section 4: optimizer call accounting ----------------------------------
+// --- Section 4: executor ---------------------------------------------------
+
+void ExecutorSection(BenchJson* json) {
+  // The complex queries planned on the catalog MNSA/D builds over them,
+  // each plan executed by the shipped typed kernels and by the
+  // Datum-per-cell reference; plans are made once, outside the timing.
+  const Database db = TunedTpcdMix();
+  const Workload w = ComplexQueries(db);
+  const std::vector<const Query*> queries = w.Queries();
+  StatsCatalog catalog(&db);
+  const Optimizer optimizer(&db);
+  MnsaConfig mnsa_d;
+  mnsa_d.drop_detection = true;
+  for (const Query* q : queries) RunMnsa(optimizer, &catalog, *q, mnsa_d);
+  std::vector<Plan> plans;
+  for (const Query* q : queries) {
+    plans.push_back(
+        std::move(optimizer.Optimize(*q, StatsView(&catalog)).plan));
+  }
+  const CostModel& cost = optimizer.cost_model();
+  const Executor executor(&db, cost);
+  auto execute = [&](size_t i, bool reference) {
+    return reference
+               ? testing::ReferenceExecute(db, cost, *queries[i], plans[i])
+               : executor.Execute(*queries[i], plans[i]);
+  };
+
+  bool matches = true;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const ExecResult got = execute(i, false);
+    const ExecResult want = execute(i, true);
+    matches = matches && got.work_units == want.work_units &&
+              got.output_rows == want.output_rows;
+  }
+  json->Add("exec_ref_matches", matches ? 1.0 : 0.0);
+
+  volatile double sink = 0.0;
+  auto sweep = [&](bool reference) {
+    double s = 0.0;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      s += execute(i, reference).work_units;
+    }
+    sink = s;
+  };
+  const auto [new_ms, old_ms] =
+      BestMsInterleaved([&] { sweep(false); }, [&] { sweep(true); });
+  (void)sink;
+  json->Add("exec_us_per_query",
+            new_ms * 1e3 / static_cast<double>(queries.size()));
+  json->Add("exec_speedup", new_ms > 0 ? old_ms / new_ms : 0.0);
+}
+
+// --- Section 5: WAL checksum ------------------------------------------------
+
+// The bytewise CRC-32 (one table lookup per byte) that the slice-by-8
+// Crc32 replaced.
+uint32_t RefCrc32(const unsigned char* p, size_t len) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+void CrcSection(BenchJson* json) {
+  std::vector<unsigned char> buf(size_t{1} << 20);
+  Rng rng(0xC4C);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.Next());
+  volatile uint32_t sink = 0;
+  const auto [new_ms, old_ms] = BestMsInterleaved(
+      [&] {
+        for (int r = 0; r < 8; ++r) sink = Crc32(buf.data(), buf.size());
+      },
+      [&] {
+        for (int r = 0; r < 8; ++r) sink = RefCrc32(buf.data(), buf.size());
+      });
+  (void)sink;
+  json->Add("crc_speedup", new_ms > 0 ? old_ms / new_ms : 0.0);
+}
+
+// --- Section 6: optimizer call accounting ----------------------------------
 
 void ProbeSection(BenchJson* json) {
   TwoTableDb t = MakeTwoTableDb(4000, 100);
@@ -382,7 +493,7 @@ void ProbeSection(BenchJson* json) {
   json->Add("exec_cost_t1", WorkloadExecCost(t.db, catalog, optimizer, w));
 }
 
-// --- Section 5: WAL commit path -------------------------------------------
+// --- Section 7: WAL commit path -------------------------------------------
 
 Workload WalWorkload(const TwoTableDb& t) {
   Workload w("wal");
@@ -487,6 +598,8 @@ int main() {
   HistogramSection(&json);
   EnumeratorSection(&json);
   ViewLookupSection(&json);
+  ExecutorSection(&json);
+  CrcSection(&json);
   ProbeSection(&json);
   WalSection(&json);
   if (!json.Write()) return 1;

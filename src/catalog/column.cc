@@ -58,19 +58,6 @@ Datum Column::Get(size_t row) const {
   return Datum();
 }
 
-double Column::NumericKey(size_t row) const {
-  switch (type_) {
-    case ValueType::kInt64:
-      return static_cast<double>(std::get<std::vector<int64_t>>(data_)[row]);
-    case ValueType::kDouble:
-      return std::get<std::vector<double>>(data_)[row];
-    case ValueType::kString:
-      return Datum(std::get<std::vector<std::string>>(data_)[row])
-          .NumericKey();
-  }
-  return 0.0;
-}
-
 void Column::Set(size_t row, const Datum& v) {
   AUTOSTATS_DCHECK(row < size());
   AUTOSTATS_DCHECK(v.type() == type_);
@@ -87,6 +74,18 @@ void Column::Set(size_t row, const Datum& v) {
   }
 }
 
+void Column::AppendCopyOf(size_t row) {
+  AUTOSTATS_DCHECK(row < size());
+  // push_back of an element of the same vector is safe: the new element is
+  // constructed before any reallocation moves the old ones.
+  std::visit([row](auto& v) { v.push_back(v[row]); }, data_);
+}
+
+void Column::CopyValue(size_t from, size_t to) {
+  AUTOSTATS_DCHECK(from < size() && to < size());
+  std::visit([from, to](auto& v) { v[to] = v[from]; }, data_);
+}
+
 void Column::SwapRemove(size_t row) {
   AUTOSTATS_DCHECK(row < size());
   std::visit(
@@ -95,19 +94,6 @@ void Column::SwapRemove(size_t row) {
         v.pop_back();
       },
       data_);
-}
-
-const std::vector<int64_t>& Column::int64_data() const {
-  AUTOSTATS_CHECK(type_ == ValueType::kInt64);
-  return std::get<std::vector<int64_t>>(data_);
-}
-const std::vector<double>& Column::double_data() const {
-  AUTOSTATS_CHECK(type_ == ValueType::kDouble);
-  return std::get<std::vector<double>>(data_);
-}
-const std::vector<std::string>& Column::string_data() const {
-  AUTOSTATS_CHECK(type_ == ValueType::kString);
-  return std::get<std::vector<std::string>>(data_);
 }
 
 }  // namespace autostats

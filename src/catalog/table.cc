@@ -25,11 +25,6 @@ void Table::AppendRow(const std::vector<Datum>& values) {
   ++num_rows_;
 }
 
-void Table::Reserve(size_t) {
-  // Column vectors grow amortized; a per-type reserve is unnecessary at the
-  // scales this repo runs, so this is a no-op kept for API clarity.
-}
-
 void Table::RemoveRow(size_t row) {
   AUTOSTATS_CHECK(row < num_rows_);
   for (auto& c : columns_) c.SwapRemove(row);

@@ -23,8 +23,20 @@ class Table {
   // Appends a full row; `values` must match the schema arity and types.
   void AppendRow(const std::vector<Datum>& values);
 
-  // Reserves capacity in every column.
-  void Reserve(size_t rows);
+  // Appends a copy of row `src` column by column; each BIGINT cell's value
+  // passes through `int64_value` (called in schema order) on its way.
+  template <typename Int64Fn>
+  void AppendRowCopy(size_t src, Int64Fn&& int64_value) {
+    AUTOSTATS_CHECK(src < num_rows_);
+    for (Column& c : columns_) {
+      if (c.type() == ValueType::kInt64) {
+        c.AppendInt64(int64_value(c.int64_data()[src]));
+      } else {
+        c.AppendCopyOf(src);
+      }
+    }
+    ++num_rows_;
+  }
 
   // Removes `row` (swap-remove; row order is not meaningful).
   void RemoveRow(size_t row);

@@ -16,6 +16,16 @@ const char* ValueTypeName(ValueType type) {
   return "UNKNOWN";
 }
 
+double StringPrefixKey(std::string_view s) {
+  double key = 0.0;
+  double scale = 1.0;
+  for (size_t i = 0; i < 8 && i < s.size(); ++i) {
+    scale /= 256.0;
+    key += static_cast<double>(static_cast<unsigned char>(s[i])) * scale;
+  }
+  return key;
+}
+
 bool Datum::operator<(const Datum& other) const {
   AUTOSTATS_DCHECK(type() == other.type());
   return value_ < other.value_;
@@ -27,18 +37,8 @@ double Datum::NumericKey() const {
       return static_cast<double>(AsInt64());
     case ValueType::kDouble:
       return AsDouble();
-    case ValueType::kString: {
-      // Stable order-preserving prefix encoding: the first 8 bytes as a
-      // base-256 fraction. Enough resolution for histogram boundaries.
-      const std::string& s = AsString();
-      double key = 0.0;
-      double scale = 1.0;
-      for (size_t i = 0; i < 8 && i < s.size(); ++i) {
-        scale /= 256.0;
-        key += static_cast<double>(static_cast<unsigned char>(s[i])) * scale;
-      }
-      return key;
-    }
+    case ValueType::kString:
+      return StringPrefixKey(AsString());
   }
   return 0.0;
 }

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 #include "common/check.h"
@@ -15,6 +16,11 @@ enum class ValueType { kInt64, kDouble, kString };
 
 // Short type name: "BIGINT", "DOUBLE", "VARCHAR".
 const char* ValueTypeName(ValueType type);
+
+// Numeric key of a VARCHAR value: its first 8 bytes as a base-256
+// fraction, an order-preserving prefix encoding with enough resolution for
+// histogram boundaries. Datum::NumericKey and Column::NumericKey share it.
+double StringPrefixKey(std::string_view s);
 
 class Datum {
  public:

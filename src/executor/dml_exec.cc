@@ -1,6 +1,7 @@
 #include "executor/dml_exec.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -9,15 +10,38 @@ namespace autostats {
 
 namespace {
 
-// Records a whole row's (dis)appearance: +1 / -1 on every column's value.
-void RecordRow(DeltaStore* deltas, TableId table, const Table& t, size_t row,
-               int64_t count) {
-  if (deltas == nullptr) return;
-  const int ncols = t.schema().num_columns();
-  for (int c = 0; c < ncols; ++c) {
-    deltas->Record(table, c, t.column(c).NumericKey(row), count);
+// The statement's delta sketches, one per column, each resolved from the
+// store on its column's first recorded value: a statement that records
+// nothing leaves its table untracked. With a null store nothing is
+// recorded.
+class StatementDeltas {
+ public:
+  StatementDeltas(DeltaStore* deltas, TableId table, int num_columns)
+      : deltas_(deltas),
+        table_(table),
+        sketches_(deltas == nullptr ? 0 : static_cast<size_t>(num_columns),
+                  nullptr) {}
+
+  void Record(ColumnId column, double value, int64_t count) {
+    if (deltas_ == nullptr) return;
+    DeltaSketch*& sketch = sketches_[static_cast<size_t>(column)];
+    if (sketch == nullptr) sketch = deltas_->Sketch(table_, column);
+    sketch->Add(value, count);
   }
-}
+
+  // Records a whole row's (dis)appearance: +1 / -1 on every column's value.
+  void RecordRow(const Table& t, size_t row, int64_t count) {
+    for (size_t c = 0; c < sketches_.size(); ++c) {
+      const ColumnId column = static_cast<ColumnId>(c);
+      Record(column, t.column(column).NumericKey(row), count);
+    }
+  }
+
+ private:
+  DeltaStore* deltas_;
+  TableId table_;
+  std::vector<DeltaSketch*> sketches_;
+};
 
 }  // namespace
 
@@ -28,50 +52,38 @@ size_t ApplyDml(Database* db, const DmlStatement& dml, DeltaStore* deltas) {
   const size_t n = t.num_rows();
   if (n == 0) return 0;
   const size_t count = std::min(dml.row_count, n);
+  StatementDeltas recorder(deltas, dml.table, t.schema().num_columns());
 
   switch (dml.kind) {
     case DmlKind::kInsert: {
-      const int ncols = t.schema().num_columns();
       for (size_t i = 0; i < dml.row_count; ++i) {
         const size_t src = rng.NextU64(n);
-        std::vector<Datum> row;
-        row.reserve(static_cast<size_t>(ncols));
-        for (int c = 0; c < ncols; ++c) {
-          Datum v = t.GetCell(src, c);
-          // Perturb integer columns slightly so inserted rows are not
-          // exact duplicates (skews drift a little, as real inserts do).
-          if (v.type() == ValueType::kInt64 && rng.NextBool(0.5)) {
-            v = Datum(v.AsInt64() + rng.NextInt(0, 3));
-          }
-          row.push_back(std::move(v));
-        }
-        t.AppendRow(row);
-        RecordRow(deltas, dml.table, t, t.num_rows() - 1, +1);
+        // Perturb integer columns slightly so inserted rows are not exact
+        // duplicates (skews drift a little, as real inserts do).
+        t.AppendRowCopy(src, [&rng](int64_t v) {
+          return rng.NextBool(0.5) ? v + rng.NextInt(0, 3) : v;
+        });
+        recorder.RecordRow(t, t.num_rows() - 1, +1);
       }
       return dml.row_count;
     }
     case DmlKind::kUpdate: {
       const ColumnId col = dml.update_column;
       AUTOSTATS_CHECK(col >= 0 && col < t.schema().num_columns());
+      Column& column = t.mutable_column(col);
       for (size_t i = 0; i < count; ++i) {
         const size_t target = rng.NextU64(t.num_rows());
         const size_t src = rng.NextU64(t.num_rows());
-        if (deltas != nullptr) {
-          deltas->Record(dml.table, col, t.column(col).NumericKey(target),
-                         -1);
-        }
-        t.SetCell(target, col, t.GetCell(src, col));
-        if (deltas != nullptr) {
-          deltas->Record(dml.table, col, t.column(col).NumericKey(target),
-                         +1);
-        }
+        recorder.Record(col, column.NumericKey(target), -1);
+        column.CopyValue(src, target);
+        recorder.Record(col, column.NumericKey(target), +1);
       }
       return count;
     }
     case DmlKind::kDelete: {
       for (size_t i = 0; i < count && t.num_rows() > 0; ++i) {
         const size_t victim = rng.NextU64(t.num_rows());
-        RecordRow(deltas, dml.table, t, victim, -1);
+        recorder.RecordRow(t, victim, -1);
         t.RemoveRow(victim);
       }
       return count;

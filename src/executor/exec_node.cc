@@ -1,13 +1,17 @@
 #include "executor/exec_node.h"
 
-#include <unordered_map>
-#include <unordered_set>
+#include <algorithm>
+#include <bit>
+#include <numeric>
 
 #include "common/check.h"
 
 namespace autostats {
 
 namespace {
+
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+constexpr uint64_t kFnvPrime = 0x100000001b3ull;
 
 uint64_t HashCell(const Column& col, uint32_t row) {
   switch (col.type()) {
@@ -34,21 +38,155 @@ bool CellEq(const Column& a, uint32_t ra, const Column& b, uint32_t rb) {
   return false;
 }
 
+// --- Typed filters ----------------------------------------------------------
+// Datum's comparisons on native values: `<=` is `<` or `==` (so NaN
+// satisfies nothing and -0.0 equals 0.0), and BETWEEN is
+// `lo <= v && v <= hi` in that form.
+
+template <typename T>
+bool LessEq(const T& a, const T& b) {
+  return a < b || a == b;
+}
+
+template <typename T>
+bool Satisfies(CompareOp op, const T& v, const T& lo, const T& hi) {
+  switch (op) {
+    case CompareOp::kEq:
+      return v == lo;
+    case CompareOp::kLt:
+      return v < lo;
+    case CompareOp::kLe:
+      return LessEq(v, lo);
+    case CompareOp::kGt:
+      return lo < v;
+    case CompareOp::kGe:
+      return LessEq(lo, v);
+    case CompareOp::kBetween:
+      return LessEq(lo, v) && LessEq(v, hi);
+  }
+  return false;
+}
+
+// True when `f`'s literal(s) have the column's type, so the native
+// comparison is Datum's; otherwise the filter falls back to Matches on a
+// Datum, which keeps Datum's cross-type order.
+bool TypedFilter(const FilterPredicate& f, const Column& col) {
+  return f.value.type() == col.type() &&
+         (f.op != CompareOp::kBetween || f.value2.type() == col.type());
+}
+
+// Calls fn(data, lo, hi) with a typed filter's column vector and literals
+// in the column's native type (hi is lo unless the filter is a BETWEEN).
+template <typename Fn>
+decltype(auto) WithNative(const FilterPredicate& f, const Column& col,
+                          Fn&& fn) {
+  const bool between = f.op == CompareOp::kBetween;
+  if (col.type() == ValueType::kInt64) {
+    const int64_t lo = f.value.AsInt64();
+    return fn(col.int64_data(), lo, between ? f.value2.AsInt64() : lo);
+  }
+  if (col.type() == ValueType::kDouble) {
+    const double lo = f.value.AsDouble();
+    return fn(col.double_data(), lo, between ? f.value2.AsDouble() : lo);
+  }
+  const std::string& lo = f.value.AsString();
+  return fn(col.string_data(), lo, between ? f.value2.AsString() : lo);
+}
+
+// Keeps the ids in `rows` whose value in `data` satisfies `pred`.
+template <typename T, typename Pred>
+void Keep(const std::vector<T>& data, Pred pred, std::vector<uint32_t>* rows) {
+  size_t kept = 0;
+  for (const uint32_t r : *rows) {
+    (*rows)[kept] = r;
+    kept += pred(data[r]) ? 1 : 0;
+  }
+  rows->resize(kept);
+}
+
+// Narrows `rows` to those satisfying `op` against (lo, hi), with the
+// operator switch hoisted out of the row loop.
+template <typename T>
+void NarrowTyped(const std::vector<T>& data, CompareOp op, const T& lo,
+                 const T& hi, std::vector<uint32_t>* rows) {
+  switch (op) {
+    case CompareOp::kEq:
+      Keep(data, [&](const T& v) { return v == lo; }, rows);
+      return;
+    case CompareOp::kLt:
+      Keep(data, [&](const T& v) { return v < lo; }, rows);
+      return;
+    case CompareOp::kLe:
+      Keep(data, [&](const T& v) { return LessEq(v, lo); }, rows);
+      return;
+    case CompareOp::kGt:
+      Keep(data, [&](const T& v) { return lo < v; }, rows);
+      return;
+    case CompareOp::kGe:
+      Keep(data, [&](const T& v) { return LessEq(lo, v); }, rows);
+      return;
+    case CompareOp::kBetween:
+      Keep(data,
+           [&](const T& v) { return LessEq(lo, v) && LessEq(v, hi); }, rows);
+      return;
+  }
+}
+
+// Narrows `rows` (row ids of `t`) to those satisfying `f`.
+void Narrow(const Table& t, const FilterPredicate& f,
+            std::vector<uint32_t>* rows) {
+  const Column& col = t.column(f.column.column);
+  if (!TypedFilter(f, col)) {
+    size_t kept = 0;
+    for (const uint32_t r : *rows) {
+      if (f.Matches(col.Get(r))) (*rows)[kept++] = r;
+    }
+    rows->resize(kept);
+    return;
+  }
+  WithNative(f, col, [&](const auto& data, const auto& lo, const auto& hi) {
+    NarrowTyped(data, f.op, lo, hi, rows);
+  });
+}
+
+std::vector<uint32_t> AllRows(const Table& t) {
+  std::vector<uint32_t> rows(t.num_rows());
+  std::iota(rows.begin(), rows.end(), uint32_t{0});
+  return rows;
+}
+
+// A join or group-by column resolved once per operator: its tuple slot and
+// its storage.
+struct SlotColumn {
+  size_t slot;
+  const Column* col;
+};
+
+uint64_t HashKey(const std::vector<SlotColumn>& key, const uint32_t* tuple) {
+  uint64_t h = kFnvBasis;
+  for (const SlotColumn& k : key) {
+    h ^= HashCell(*k.col, tuple[k.slot]);
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
 }  // namespace
+
+bool FilterMatchesCell(const FilterPredicate& f, const Column& col,
+                       size_t row) {
+  if (!TypedFilter(f, col)) return f.Matches(col.Get(row));
+  return WithNative(f, col,
+                    [&](const auto& data, const auto& lo, const auto& hi) {
+                      return Satisfies(f.op, data[row], lo, hi);
+                    });
+}
 
 int Intermediate::SlotOf(TableId table) const {
   for (size_t i = 0; i < tables.size(); ++i) {
     if (tables[i] == table) return static_cast<int>(i);
   }
   return -1;
-}
-
-void SampledAppender::Append(const uint32_t* left, size_t left_width,
-                             const uint32_t* right, size_t right_width) {
-  if (emit_counter_++ % keep_every_ != 0) return;
-  out_->data.insert(out_->data.end(), left, left + left_width);
-  out_->data.insert(out_->data.end(), right, right + right_width);
-  MaybeCompact();
 }
 
 void SampledAppender::MaybeCompact() {
@@ -74,38 +212,30 @@ Intermediate ExecFilteredScan(const Database& db, const Query& query,
   const Table& t = db.table(table);
   Intermediate out;
   out.tables = {table};
-  for (uint32_t r = 0; r < t.num_rows(); ++r) {
-    bool match = true;
-    for (int i : filter_indices) {
-      const FilterPredicate& f = query.filters()[static_cast<size_t>(i)];
-      if (!f.Matches(t.GetCell(r, f.column.column))) {
-        match = false;
-        break;
-      }
-    }
-    if (match) out.data.push_back(r);
+  out.data = AllRows(t);
+  for (const int i : filter_indices) {
+    Narrow(t, query.filters()[static_cast<size_t>(i)], &out.data);
   }
   return out;
 }
 
-double CountMatchingOnColumn(const Database& db, const Query& query,
-                             TableId table, ColumnRef column,
-                             const std::vector<int>& filter_indices) {
+Intermediate ExecIndexSeek(const Database& db, const Query& query,
+                           TableId table, ColumnRef leading,
+                           const std::vector<int>& filter_indices,
+                           double* matched) {
   const Table& t = db.table(table);
-  double matched = 0.0;
-  for (uint32_t r = 0; r < t.num_rows(); ++r) {
-    bool match = true;
-    for (int i : filter_indices) {
+  Intermediate out;
+  out.tables = {table};
+  out.data = AllRows(t);
+  // The leading column's filters first: the rows they keep are the count.
+  for (const bool on_leading : {true, false}) {
+    for (const int i : filter_indices) {
       const FilterPredicate& f = query.filters()[static_cast<size_t>(i)];
-      if (!(f.column == column)) continue;
-      if (!f.Matches(t.GetCell(r, f.column.column))) {
-        match = false;
-        break;
-      }
+      if ((f.column == leading) == on_leading) Narrow(t, f, &out.data);
     }
-    if (match) matched += 1.0;
+    if (on_leading) *matched = static_cast<double>(out.data.size());
   }
-  return matched;
+  return out;
 }
 
 Intermediate ExecHashJoin(const Database& db, const Query& query,
@@ -121,13 +251,7 @@ Intermediate ExecHashJoin(const Database& db, const Query& query,
   // Resolve each join predicate to (left slot+column, right slot+column);
   // predicates that do not span the two inputs are ignored here (they were
   // applied at a lower join).
-  struct KeyPart {
-    size_t lslot;
-    const Column* lcol;
-    size_t rslot;
-    const Column* rcol;
-  };
-  std::vector<KeyPart> parts;
+  std::vector<SlotColumn> lkey, rkey;
   for (int j : join_indices) {
     const JoinPredicate& jp = query.joins()[static_cast<size_t>(j)];
     int lslot = left.SlotOf(jp.left.table);
@@ -140,14 +264,14 @@ Intermediate ExecHashJoin(const Database& db, const Query& query,
       rc = jp.left;
     }
     if (lslot < 0 || rslot < 0) continue;  // predicate internal to one side
-    parts.push_back(KeyPart{static_cast<size_t>(lslot),
-                            &db.table(lc.table).column(lc.column),
-                            static_cast<size_t>(rslot),
-                            &db.table(rc.table).column(rc.column)});
+    lkey.push_back(SlotColumn{static_cast<size_t>(lslot),
+                              &db.table(lc.table).column(lc.column)});
+    rkey.push_back(SlotColumn{static_cast<size_t>(rslot),
+                              &db.table(rc.table).column(rc.column)});
   }
 
   const size_t lw = left.stride(), rw = right.stride();
-  if (parts.empty()) {
+  if (lkey.empty()) {
     // Cross product (disconnected query graph only).
     for (size_t li = 0; li < left.num_stored(); ++li) {
       for (size_t ri = 0; ri < right.num_stored(); ++ri) {
@@ -157,30 +281,34 @@ Intermediate ExecHashJoin(const Database& db, const Query& query,
     return out;
   }
 
-  // Build on the right input.
-  std::unordered_multimap<uint64_t, uint32_t> table_map;
-  table_map.reserve(right.num_stored());
-  for (size_t i = 0; i < right.num_stored(); ++i) {
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (const KeyPart& p : parts) {
-      h ^= HashCell(*p.rcol, right.row(i)[p.rslot]);
-      h *= 0x100000001b3ull;
-    }
-    table_map.emplace(h, static_cast<uint32_t>(i));
+  // Build on the right input: each row's key hash, and per power-of-two
+  // bucket a chain threaded through `next`. A row goes in at the head of
+  // its chain, so a chain lists its rows in descending index.
+  constexpr uint32_t kEnd = ~uint32_t{0};
+  const size_t nr = right.num_stored();
+  const int bits = std::max(1, static_cast<int>(std::bit_width(nr)));
+  const auto bucket_of = [bits](uint64_t h) {
+    return static_cast<size_t>((h * 0x9E3779B97F4A7C15ull) >> (64 - bits));
+  };
+  std::vector<uint64_t> hashes(nr);
+  std::vector<uint32_t> head(size_t{1} << bits, kEnd);
+  std::vector<uint32_t> next(nr);
+  for (size_t i = 0; i < nr; ++i) {
+    hashes[i] = HashKey(rkey, right.row(i));
+    uint32_t& chain = head[bucket_of(hashes[i])];
+    next[i] = chain;
+    chain = static_cast<uint32_t>(i);
   }
   for (size_t li = 0; li < left.num_stored(); ++li) {
     const uint32_t* lrow = left.row(li);
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (const KeyPart& p : parts) {
-      h ^= HashCell(*p.lcol, lrow[p.lslot]);
-      h *= 0x100000001b3ull;
-    }
-    auto [begin, end] = table_map.equal_range(h);
-    for (auto it = begin; it != end; ++it) {
-      const uint32_t* rrow = right.row(it->second);
+    const uint64_t h = HashKey(lkey, lrow);
+    for (uint32_t ri = head[bucket_of(h)]; ri != kEnd; ri = next[ri]) {
+      if (hashes[ri] != h) continue;
+      const uint32_t* rrow = right.row(ri);
       bool eq = true;
-      for (const KeyPart& p : parts) {
-        if (!CellEq(*p.lcol, lrow[p.lslot], *p.rcol, rrow[p.rslot])) {
+      for (size_t k = 0; k < lkey.size(); ++k) {
+        if (!CellEq(*lkey[k].col, lrow[lkey[k].slot], *rkey[k].col,
+                    rrow[rkey[k].slot])) {
           eq = false;
           break;
         }
@@ -193,21 +321,22 @@ Intermediate ExecHashJoin(const Database& db, const Query& query,
 
 double CountGroups(const Database& db, const Intermediate& input,
                    const std::vector<ColumnRef>& group_by) {
-  std::unordered_set<uint64_t> groups;
-  groups.reserve(input.num_stored());
-  for (size_t i = 0; i < input.num_stored(); ++i) {
-    const uint32_t* tuple = input.row(i);
-    uint64_t h = 0xcbf29ce484222325ull;
-    for (const ColumnRef& c : group_by) {
-      const int slot = input.SlotOf(c.table);
-      AUTOSTATS_CHECK(slot >= 0);
-      h ^= HashCell(db.table(c.table).column(c.column),
-                    tuple[static_cast<size_t>(slot)]);
-      h *= 0x100000001b3ull;
-    }
-    groups.insert(h);
+  const size_t n = input.num_stored();
+  if (n == 0) return 0.0;
+  std::vector<SlotColumn> key;
+  key.reserve(group_by.size());
+  for (const ColumnRef& c : group_by) {
+    const int slot = input.SlotOf(c.table);
+    AUTOSTATS_CHECK(slot >= 0);
+    key.push_back(SlotColumn{static_cast<size_t>(slot),
+                             &db.table(c.table).column(c.column)});
   }
-  return static_cast<double>(groups.size());
+  // Distinct per-tuple hashes: the count a hash set of them would hold.
+  std::vector<uint64_t> hashes(n);
+  for (size_t i = 0; i < n; ++i) hashes[i] = HashKey(key, input.row(i));
+  std::sort(hashes.begin(), hashes.end());
+  return static_cast<double>(
+      std::unique(hashes.begin(), hashes.end()) - hashes.begin());
 }
 
 }  // namespace autostats

@@ -41,36 +41,56 @@ struct Intermediate {
 };
 
 // Append-side helper enforcing the sampling cap; used by the join paths.
+// `out->tables` must be set before construction (it fixes the stride).
 class SampledAppender {
  public:
-  explicit SampledAppender(Intermediate* out) : out_(out) {}
+  explicit SampledAppender(Intermediate* out)
+      : out_(out), cap_(kMaxStoredRows * out->stride()) {}
 
   // Appends the concatenation (left tuple, right tuple), subject to the
-  // current sampling rate.
+  // current sampling rate. Which tuples survive sampling depends on the
+  // order they are appended in.
   void Append(const uint32_t* left, size_t left_width, const uint32_t* right,
-              size_t right_width);
+              size_t right_width) {
+    if ((emit_counter_++ & (keep_every_ - 1)) != 0) return;
+    out_->data.insert(out_->data.end(), left, left + left_width);
+    out_->data.insert(out_->data.end(), right, right + right_width);
+    if (out_->data.size() >= cap_) MaybeCompact();
+  }
 
  private:
   void MaybeCompact();
 
   Intermediate* out_;
+  size_t cap_;  // data.size() at kMaxStoredRows tuples
   size_t emit_counter_ = 0;
-  size_t keep_every_ = 1;
+  size_t keep_every_ = 1;  // a power of two
 };
 
-// Scans `table`, returning row ids satisfying all `filter_indices`.
+// Scans `table`, returning row ids (ascending) satisfying all
+// `filter_indices`.
 Intermediate ExecFilteredScan(const Database& db, const Query& query,
                               TableId table,
                               const std::vector<int>& filter_indices);
 
-// Rows of `table` satisfying only the filters on `column` (the index-seek
-// qualifying count, used for cost charging).
-double CountMatchingOnColumn(const Database& db, const Query& query,
-                             TableId table, ColumnRef column,
-                             const std::vector<int>& filter_indices);
+// An index seek's two results from one pass: ExecFilteredScan's rows, and
+// in *matched the rows satisfying only the filters on `leading` (the
+// qualifying count the seek is charged for).
+Intermediate ExecIndexSeek(const Database& db, const Query& query,
+                           TableId table, ColumnRef leading,
+                           const std::vector<int>& filter_indices,
+                           double* matched);
+
+// True when row `row` of `col` satisfies `f`: FilterPredicate::Matches of
+// the cell, without building a Datum when the literal's type is the
+// column's.
+bool FilterMatchesCell(const FilterPredicate& f, const Column& col,
+                       size_t row);
 
 // Equi-joins two intermediates on the given join predicates (hash-based;
-// the physical operator only differs in the cost charged).
+// the physical operator only differs in the cost charged). Each left tuple
+// is emitted with its matching right tuples in descending right index:
+// past the sampling cap, which tuples are kept depends on that order.
 Intermediate ExecHashJoin(const Database& db, const Query& query,
                           const Intermediate& left, const Intermediate& right,
                           const std::vector<int>& join_indices);

@@ -1,6 +1,8 @@
 #include "executor/executor.h"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/str_util.h"
@@ -45,16 +47,16 @@ NodeResult ExecNode(const Database& db, const Query& query,
       return record(std::move(r), local);
     }
     case PlanOp::kIndexSeek: {
-      NodeResult r;
-      r.data = ExecFilteredScan(db, query, node.table, node.filter_indices);
       // Qualifying rows: those matched by the index's leading column.
       const IndexDef* index = nullptr;
       for (const IndexDef& ix : db.indexes()) {
         if (ix.name == node.index_name) index = &ix;
       }
       AUTOSTATS_CHECK_MSG(index != nullptr, node.index_name.c_str());
-      const double matched = CountMatchingOnColumn(
-          db, query, node.table, index->LeadingColumn(), node.filter_indices);
+      NodeResult r;
+      double matched = 0.0;
+      r.data = ExecIndexSeek(db, query, node.table, index->LeadingColumn(),
+                             node.filter_indices, &matched);
       int residual = 0;
       for (int i : node.filter_indices) {
         if (!(query.filters()[static_cast<size_t>(i)].column ==
@@ -114,15 +116,18 @@ NodeResult ExecNode(const Database& db, const Query& query,
       filtered.scale = matched_raw.scale;
       const int inner_slot = matched_raw.SlotOf(node.table);
       AUTOSTATS_CHECK(inner_slot >= 0);
+      std::vector<std::pair<const FilterPredicate*, const Column*>> residual;
+      for (int fi : node.filter_indices) {
+        const FilterPredicate& f = query.filters()[static_cast<size_t>(fi)];
+        residual.emplace_back(&f, &t.column(f.column.column));
+      }
       const size_t stride = matched_raw.stride();
       for (size_t i = 0; i < matched_raw.num_stored(); ++i) {
         const uint32_t* tuple = matched_raw.row(i);
+        const uint32_t inner_row = tuple[static_cast<size_t>(inner_slot)];
         bool ok = true;
-        for (int fi : node.filter_indices) {
-          const FilterPredicate& f =
-              query.filters()[static_cast<size_t>(fi)];
-          if (!f.Matches(t.GetCell(tuple[static_cast<size_t>(inner_slot)],
-                                   f.column.column))) {
+        for (const auto& [f, col] : residual) {
+          if (!FilterMatchesCell(*f, *col, inner_row)) {
             ok = false;
             break;
           }

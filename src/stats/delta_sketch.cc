@@ -94,7 +94,11 @@ std::vector<ValueFreq> ApplyDelta(const std::vector<ValueFreq>& base,
 
 void DeltaStore::Record(TableId table, ColumnId column, double value,
                         int64_t count) {
-  tables_[table].columns[column].Add(value, count);
+  Sketch(table, column)->Add(value, count);
+}
+
+DeltaSketch* DeltaStore::Sketch(TableId table, ColumnId column) {
+  return &tables_[table].columns[column];
 }
 
 void DeltaStore::Invalidate(TableId table) { tables_[table].valid = false; }

@@ -87,6 +87,12 @@ class DeltaStore {
   // Accumulates `count` signed rows at `value` for (table, column).
   void Record(TableId table, ColumnId column, double value, int64_t count);
 
+  // The sketch of (table, column), created on first call, which also
+  // makes the table tracked. Stays valid until ClearTable(table) or
+  // Clear(), so a DML statement resolves each column once, on its first
+  // recorded value.
+  DeltaSketch* Sketch(TableId table, ColumnId column);
+
   // Marks `table`'s deltas unusable (a `stats.delta` fault dropped part of
   // the stream): consumers must full-rescan to resync.
   void Invalidate(TableId table);

@@ -290,6 +290,46 @@ class DurabilityTest : public ::testing::Test {
   void TearDown() override { FaultInjector::Instance().Reset(); }
 };
 
+// --- 0. Checksum identity ------------------------------------------------
+
+// The classic bytewise CRC-32 (reflected 0xEDB88320), one table lookup per
+// byte: the checksum every journal, snapshot and catalog file carries.
+uint32_t BytewiseCrc32(const unsigned char* p, size_t len) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesBytewiseReference) {
+  EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+  Rng rng(0xC4C32);
+  std::vector<unsigned char> buf((size_t{1} << 20) + 8);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.NextU64(256));
+  // Every length 0..64 at every start offset 0..7: all head/tail splits
+  // around the 8-byte steps, at every alignment.
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      ASSERT_EQ(Crc32(buf.data() + offset, len),
+                BytewiseCrc32(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+  for (const size_t len : {size_t{1000}, size_t{4099}, size_t{65543},
+                           size_t{1} << 20}) {
+    EXPECT_EQ(Crc32(buf.data() + 3, len), BytewiseCrc32(buf.data() + 3, len))
+        << "len " << len;
+  }
+}
+
 // --- 1. Round trip --------------------------------------------------------
 
 TEST_F(DurabilityTest, CleanCloseReopensBitIdentical) {

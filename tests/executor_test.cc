@@ -1,10 +1,25 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "core/mnsa.h"
 #include "executor/dml_exec.h"
 #include "executor/exec_node.h"
 #include "executor/executor.h"
+#include "optimizer/join_graph.h"
 #include "optimizer/optimizer.h"
+#include "rags/rags.h"
+#include "tests/reference_executor.h"
 #include "tests/test_util.h"
+#include "tpcd/dbgen.h"
+#include "tpcd/schema.h"
+#include "tpcd/tuning.h"
 
 namespace autostats {
 namespace {
@@ -307,6 +322,357 @@ TEST_F(ExecutorTest, DmlDeterministicBySeed) {
   for (size_t r = 0; r < ta.num_rows(); ++r) {
     EXPECT_EQ(ta.GetCell(r, 0).AsInt64(), tb.GetCell(r, 0).AsInt64());
   }
+}
+
+// --- Typed kernels vs the Datum-per-cell reference (reference_executor.h) ---
+
+uint64_t Bits(double d) { return std::bit_cast<uint64_t>(d); }
+
+// Empty when the two analyzed runs agree bit for bit: totals, and every
+// node's actual rows and own work, in the same pre-order.
+std::string AnalyzedDiff(const AnalyzedResult& got,
+                         const AnalyzedResult& want) {
+  if (Bits(got.result.work_units) != Bits(want.result.work_units)) {
+    return "work_units";
+  }
+  if (Bits(got.result.output_rows) != Bits(want.result.output_rows)) {
+    return "output_rows";
+  }
+  if (got.nodes.size() != want.nodes.size()) return "node count";
+  for (size_t i = 0; i < got.nodes.size(); ++i) {
+    const NodeActuals& g = got.nodes[i];
+    const NodeActuals& w = want.nodes[i];
+    const std::string at = " at node " + std::to_string(i);
+    if (g.node != w.node) return "node order" + at;
+    if (Bits(g.actual_rows) != Bits(w.actual_rows)) return "actual_rows" + at;
+    if (Bits(g.work) != Bits(w.work)) return "work" + at;
+  }
+  return "";
+}
+
+TEST(ExecutorReferenceTest, MatchesReferenceBitForBit) {
+  struct Config {
+    const char* name;
+    EnumeratorConfig config;
+    bool connected_only;  // no join method that works on a cross product
+  };
+  const Config configs[] = {
+      {"default", {}, false},
+      {"hash_only", {true, false, false, false, false}, true},
+      {"merge_only", {false, true, false, false, false}, true},
+      {"nlj_only", {false, false, true, false, false}, false},
+      {"inlj_or_nlj", {false, false, true, true, false}, false},
+  };
+  int64_t compared = 0;
+  std::set<PlanOp> ops;
+  for (const bool indexed : {false, true}) {
+    Database db = tpcd::BuildTpcdVariant("TPCD_MIX", 0.0005, 42);
+    if (indexed) tpcd::ApplyTunedIndexes(&db);
+    const Optimizer optimizer(&db);
+    const CostModel& cost = optimizer.cost_model();
+    const Executor executor(&db, cost);
+    for (const rags::Complexity complexity :
+         {rags::Complexity::kSimple, rags::Complexity::kComplex}) {
+      rags::RagsConfig rc;
+      rc.num_statements = 30;
+      rc.complexity = complexity;
+      rc.seed = 11;
+      rc.join_edges = tpcd::TpcdForeignKeys(db);
+      const Workload w = rags::Generate(db, rc);
+      // The catalog evolves under MNSA/D as the stream is processed, so
+      // later queries run plans chosen on histograms, densities and drops.
+      StatsCatalog catalog(&db);
+      MnsaConfig mnsa_d;
+      mnsa_d.drop_detection = true;
+      for (const Query* q : w.Queries()) {
+        const bool connected =
+            JoinGraph(*q).IsConnected((1u << q->num_tables()) - 1u);
+        for (const Config& c : configs) {
+          if (c.connected_only && !connected) continue;
+          OptimizerConfig oc;
+          oc.enumerator = c.config;
+          const Optimizer planner(&db, oc);
+          Plan plan = std::move(planner.Optimize(*q, StatsView(&catalog)).plan);
+          // An aggregate runs as both kinds, so each is compared.
+          const int runs = q->has_grouping() ? 2 : 1;
+          for (int run = 0; run < runs; ++run) {
+            if (run == 1) {
+              plan.root->op = plan.root->op == PlanOp::kHashAggregate
+                                  ? PlanOp::kStreamAggregate
+                                  : PlanOp::kHashAggregate;
+            }
+            const ExecResult got = executor.Execute(*q, plan);
+            const ExecResult want =
+                testing::ReferenceExecute(db, cost, *q, plan);
+            ASSERT_EQ(Bits(got.work_units), Bits(want.work_units))
+                << q->name() << " config=" << c.name;
+            ASSERT_EQ(Bits(got.output_rows), Bits(want.output_rows))
+                << q->name() << " config=" << c.name;
+            ASSERT_EQ(AnalyzedDiff(executor.ExecuteAnalyzed(*q, plan),
+                                   testing::ReferenceExecuteAnalyzed(
+                                       db, cost, *q, plan)),
+                      "")
+                << q->name() << " config=" << c.name;
+            ++compared;
+            for (const PlanNode* n : plan.Nodes()) ops.insert(n->op);
+          }
+        }
+        RunMnsa(optimizer, &catalog, *q, mnsa_d);
+      }
+    }
+  }
+  EXPECT_GT(compared, 500);
+  for (const PlanOp op :
+       {PlanOp::kTableScan, PlanOp::kIndexSeek, PlanOp::kNestedLoopJoin,
+        PlanOp::kIndexNestedLoopJoin, PlanOp::kHashJoin, PlanOp::kMergeJoin,
+        PlanOp::kHashAggregate, PlanOp::kStreamAggregate}) {
+    EXPECT_EQ(ops.count(op), 1u) << PlanOpName(op) << " never ran";
+  }
+}
+
+// Past kMaxStoredRows the appender keeps every other emitted tuple, so the
+// stored sample depends on the order matches are emitted in: it must be
+// the reference's, tuple for tuple.
+TEST(ExecutorReferenceTest, SampledJoinMatchesReferenceTupleForTuple) {
+  for (const bool two_parts : {false, true}) {
+    SCOPED_TRACE(two_parts ? "two key parts" : "one key part");
+    Database db;
+    const Schema schema("t", {{"k", ValueType::kInt64},
+                              {"s", ValueType::kString}});
+    const TableId a = db.AddTable(schema);
+    const TableId b = db.AddTable(Schema(schema));
+    // One key part: 2048 x 2048 rows on one key. Two: 3000 x 3000 rows on
+    // (7, "even" | "odd"), two 1500 x 1500 blocks.
+    const int n = two_parts ? 3000 : 2048;
+    for (int i = 0; i < n; ++i) {
+      const std::string s = i % 2 == 0 ? "even" : "odd";
+      db.mutable_table(a).AppendRow({Datum(int64_t{7}), Datum(s)});
+      db.mutable_table(b).AppendRow({Datum(int64_t{7}), Datum(s)});
+    }
+    Query q("boom");
+    q.AddTable(a);
+    q.AddTable(b);
+    q.AddJoin(JoinPredicate{{a, 0}, {b, 0}});
+    if (two_parts) q.AddJoin(JoinPredicate{{a, 1}, {b, 1}});
+    const std::vector<int> joins =
+        two_parts ? std::vector<int>{0, 1} : std::vector<int>{0};
+    const Intermediate left = ExecFilteredScan(db, q, a, {});
+    const Intermediate right = ExecFilteredScan(db, q, b, {});
+    const Intermediate got = ExecHashJoin(db, q, left, right, joins);
+    const Intermediate want =
+        testing::ReferenceHashJoin(db, q, left, right, joins);
+    EXPECT_GT(got.scale, 1.0);
+    EXPECT_EQ(Bits(got.scale), Bits(want.scale));
+    EXPECT_EQ(got.tables, want.tables);
+    ASSERT_EQ(got.data.size(), want.data.size());
+    EXPECT_TRUE(got.data == want.data);
+  }
+}
+
+TEST(ExecutorReferenceTest, TypedFiltersMatchDatumSemantics) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<int64_t> ints = {-5, -1, 0, 1, 3, 7,
+                                     std::numeric_limits<int64_t>::max()};
+  const std::vector<double> doubles = {nan, -0.0, 0.0, inf, -inf, 1.5, -2.25,
+                                       3.0};
+  const std::vector<std::string> strings = {
+      "", "a", "ab", "abc", "b", "Z", "abcdefghijklmnop",
+      "abcdefghijklmnopq", "abcdefghijklmnopqrstuvwxyz"};
+  Database db;
+  const TableId t = db.AddTable(Schema("typed", {{"i", ValueType::kInt64},
+                                                 {"d", ValueType::kDouble},
+                                                 {"s", ValueType::kString}}));
+  for (size_t r = 0; r < 72; ++r) {
+    db.mutable_table(t).AppendRow({Datum(ints[r % ints.size()]),
+                                   Datum(doubles[r % doubles.size()]),
+                                   Datum(strings[r % strings.size()])});
+  }
+  // Literals of every type on every column. Datum orders values of
+  // different types by type (BIGINT < DOUBLE < VARCHAR); that order is
+  // only reachable with DCHECKs off, which is how every preset builds.
+  std::vector<Datum> literals;
+  for (const int64_t v : {int64_t{-1}, int64_t{0}, int64_t{3}}) {
+    literals.emplace_back(v);
+  }
+  for (const double v : {nan, -0.0, 0.0, inf, -inf, 1.5}) {
+    literals.emplace_back(v);
+  }
+  for (const char* v : {"", "ab", "abcdefghijklmnopq", "zz"}) {
+    literals.emplace_back(std::string(v));
+  }
+  const Table& table = db.table(t);
+  int64_t checked = 0;
+  for (ColumnId c = 0; c < 3; ++c) {
+    const ColumnRef column{t, c};
+    for (const CompareOp op :
+         {CompareOp::kEq, CompareOp::kLt, CompareOp::kLe, CompareOp::kGt,
+          CompareOp::kGe, CompareOp::kBetween}) {
+      for (const Datum& lo : literals) {
+        for (const Datum& hi : literals) {
+          if (op != CompareOp::kBetween && &hi != &literals.front()) break;
+#ifndef NDEBUG
+          if (lo.type() != table.column(c).type() ||
+              hi.type() != table.column(c).type()) {
+            if (op != CompareOp::kEq) continue;
+          }
+#endif
+          Query q("typed");
+          q.AddTable(t);
+          q.AddFilter({column, op, lo, op == CompareOp::kBetween ? hi
+                                                               : Datum()});
+          // A second filter on another column: the index seek's residual.
+          if (c == 0) {
+            q.AddFilter({ColumnRef{t, 2}, CompareOp::kGe,
+                         Datum(std::string("ab")), Datum()});
+          } else {
+            q.AddFilter({ColumnRef{t, 0}, CompareOp::kLe, Datum(int64_t{3}),
+                         Datum()});
+          }
+          const FilterPredicate& f = q.filters()[0];
+          const FilterPredicate& residual = q.filters()[1];
+          std::vector<uint32_t> want, want_both;
+          for (uint32_t r = 0; r < table.num_rows(); ++r) {
+            const bool match = f.Matches(table.GetCell(r, c));
+            ASSERT_EQ(FilterMatchesCell(f, table.column(c), r), match)
+                << f.ToString(db) << " row " << r;
+            if (!match) continue;
+            want.push_back(r);
+            if (residual.Matches(table.GetCell(r, residual.column.column))) {
+              want_both.push_back(r);
+            }
+          }
+          ASSERT_EQ(ExecFilteredScan(db, q, t, {0}).data, want)
+              << f.ToString(db);
+          EXPECT_EQ(ExecFilteredScan(db, q, t, {0, 1}).data, want_both)
+              << f.ToString(db);
+          double matched = -1.0;
+          EXPECT_EQ(ExecIndexSeek(db, q, t, column, {0, 1}, &matched).data,
+                    want_both)
+              << f.ToString(db);
+          EXPECT_EQ(matched, static_cast<double>(want.size()));
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 400);
+}
+
+
+// Empty when every cell of the two databases is equal (doubles by bit
+// pattern).
+std::string CellDiff(const Database& got, const Database& want) {
+  if (got.num_tables() != want.num_tables()) return "table count";
+  for (TableId t = 0; t < got.num_tables(); ++t) {
+    const Table& g = got.table(t);
+    const Table& w = want.table(t);
+    const std::string name = g.schema().table_name();
+    if (g.num_rows() != w.num_rows()) return name + " row count";
+    for (ColumnId c = 0; c < g.schema().num_columns(); ++c) {
+      const Column& gc = g.column(c);
+      const Column& wc = w.column(c);
+      const std::string at = name + " column " + std::to_string(c);
+      switch (gc.type()) {
+        case ValueType::kInt64:
+          if (gc.int64_data() != wc.int64_data()) return at;
+          break;
+        case ValueType::kDouble:
+          for (size_t r = 0; r < g.num_rows(); ++r) {
+            if (Bits(gc.double_data()[r]) != Bits(wc.double_data()[r])) {
+              return at;
+            }
+          }
+          break;
+        case ValueType::kString:
+          if (gc.string_data() != wc.string_data()) return at;
+          break;
+      }
+    }
+  }
+  return "";
+}
+
+// Empty when the two stores track the same tables with the same validity
+// and the same compacted runs per column.
+std::string DeltaDiff(const Database& db, DeltaStore* got, DeltaStore* want) {
+  if (got->TrackedTables() != want->TrackedTables()) return "tracked tables";
+  for (TableId t = 0; t < db.num_tables(); ++t) {
+    if (got->Valid(t) != want->Valid(t)) return "validity";
+    for (ColumnId c = 0; c < db.table(t).schema().num_columns(); ++c) {
+      DeltaSketch* g = got->Find(t, c);
+      DeltaSketch* w = want->Find(t, c);
+      const std::string at =
+          "table " + std::to_string(t) + " column " + std::to_string(c);
+      if ((g == nullptr) != (w == nullptr)) return "sketch presence at " + at;
+      if (g == nullptr) continue;
+      if (g->rows_touched() != w->rows_touched()) return "rows at " + at;
+      const std::vector<ValueDelta>& gr = g->runs();
+      const std::vector<ValueDelta>& wr = w->runs();
+      if (gr.size() != wr.size()) return "run count at " + at;
+      for (size_t i = 0; i < gr.size(); ++i) {
+        if (Bits(gr[i].value) != Bits(wr[i].value) ||
+            gr[i].count != wr[i].count) {
+          return "run " + std::to_string(i) + " at " + at;
+        }
+      }
+    }
+  }
+  return "";
+}
+
+TEST(ExecutorReferenceTest, DmlMatchesReferenceCellForCell) {
+  for (const bool with_deltas : {false, true}) {
+    SCOPED_TRACE(with_deltas ? "deltas on" : "deltas off");
+    Database got = tpcd::BuildTpcdVariant("TPCD_MIX", 0.0005, 42);
+    Database want = tpcd::BuildTpcdVariant("TPCD_MIX", 0.0005, 42);
+    rags::RagsConfig rc;
+    rc.num_statements = 200;
+    rc.update_fraction = 1.0;
+    rc.seed = 23;
+    rc.join_edges = tpcd::TpcdForeignKeys(got);
+    const Workload w = rags::Generate(got, rc);
+    DeltaStore got_deltas, want_deltas;
+    std::set<DmlKind> kinds;
+    for (const Statement& st : w.statements()) {
+      ASSERT_EQ(st.kind, Statement::Kind::kDml);
+      const DmlStatement& dml = st.dml;
+      kinds.insert(dml.kind);
+      const size_t g =
+          ApplyDml(&got, dml, with_deltas ? &got_deltas : nullptr);
+      const size_t r = testing::ReferenceApplyDml(
+          &want, dml, with_deltas ? &want_deltas : nullptr);
+      ASSERT_EQ(g, r) << dml.ToString(got);
+      ASSERT_EQ(CellDiff(got, want), "") << dml.ToString(got);
+      ASSERT_EQ(DeltaDiff(got, &got_deltas, &want_deltas), "")
+          << dml.ToString(got);
+    }
+    EXPECT_EQ(kinds.size(), 3u);
+    EXPECT_EQ(got_deltas.TrackedTables().empty(), !with_deltas);
+  }
+
+  // A statement that records nothing leaves its table untracked.
+  testing::TwoTableDb t = testing::MakeTwoTableDb(100, 10);
+  const TableId empty =
+      t.db.AddTable(Schema("empty", {{"k", ValueType::kInt64}}));
+  DeltaStore deltas;
+  DmlStatement none;
+  none.kind = DmlKind::kInsert;
+  none.table = t.fact;
+  none.row_count = 0;
+  EXPECT_EQ(ApplyDml(&t.db, none, &deltas), 0u);
+  EXPECT_FALSE(deltas.Tracked(t.fact));
+  for (const DmlKind kind :
+       {DmlKind::kInsert, DmlKind::kUpdate, DmlKind::kDelete}) {
+    DmlStatement d;
+    d.kind = kind;
+    d.table = empty;
+    d.row_count = 5;
+    EXPECT_EQ(ApplyDml(&t.db, d, &deltas), 0u);
+    EXPECT_EQ(testing::ReferenceApplyDml(&t.db, d, &deltas), 0u);
+  }
+  EXPECT_TRUE(deltas.TrackedTables().empty());
+  EXPECT_EQ(t.db.table(empty).num_rows(), 0u);
 }
 
 }  // namespace
