@@ -6,7 +6,8 @@
 //   1. Deterministic counts and checksums — selectivity checksums over a
 //      fixed probe grid (locking in the kernels' bit-identical contract),
 //      the join enumerator's bit-for-bit agreement with its reference,
-//      the statistic lookups' and the executor's agreement with theirs,
+//      the statistic lookups', the executor's and the statistic build
+//      kernels' agreement with theirs,
 //      optimizer call accounting, WAL fsync/append counts of the
 //      per-statement commit path, and the workload's executed cost.
 //      Gated exactly: any drift on any machine is a semantic change, not
@@ -15,15 +16,16 @@
 //   2. In-process old-vs-new speedup ratios — the pre-optimization
 //      kernels (linear bucket scan, the tree-building join enumerator,
 //      the sorted-key statistic lookups, the Datum-per-cell executor, the
-//      bytewise CRC-32) are kept as reference
-//      implementations and timed against the shipped ones in the same
-//      process. Ratios are robust to machine speed, so they gate loosely
-//      (they still move with cache sizes and compilers, hence wide
-//      tolerances + absolute floors).
+//      comparison-sort statistic builds, the bytewise CRC-32) are kept as
+//      reference implementations and timed against the shipped ones in
+//      the same process. Ratios are robust to machine speed, so they gate
+//      loosely (they still move with cache sizes and compilers, hence
+//      wide tolerances + absolute floors).
 //
 //   3. Absolute latencies and the PR 5 metrics percentiles — recorded for
 //      trend reading across the committed baselines, never gated.
 #include <algorithm>
+#include <bit>
 #include <clocale>
 #include <cmath>
 #include <cstdint>
@@ -38,9 +40,12 @@
 #include "core/auto_manager.h"
 #include "core/mnsa.h"
 #include "executor/executor.h"
+#include "stats/builder.h"
+#include "stats/distinct.h"
 #include "stats/durability.h"
 #include "stats/histogram.h"
 #include "stats/maxdiff.h"
+#include "tests/reference_builder.h"
 #include "tests/reference_enumerator.h"
 #include "tests/reference_executor.h"
 #include "tests/reference_view.h"
@@ -432,7 +437,75 @@ void ExecutorSection(BenchJson* json) {
   json->Add("exec_speedup", new_ms > 0 ? old_ms / new_ms : 0.0);
 }
 
-// --- Section 5: WAL checksum ------------------------------------------------
+// --- Section 5: statistic builds -------------------------------------------
+
+void BuildSection(BenchJson* json) {
+  // Single-column builds of every column of the tuned TPC-D mix: the
+  // column's distribution and its distinct count, through the shipped
+  // radix-sort and hash-set kernels and the comparison-sort reference.
+  const Database db = TunedTpcdMix();
+  std::vector<ColumnRef> columns;
+  for (TableId t = 0; t < db.num_tables(); ++t) {
+    for (ColumnId c = 0; c < db.table(t).schema().num_columns(); ++c) {
+      columns.push_back({t, c});
+    }
+  }
+  auto same_runs = [](const std::vector<ValueFreq>& a,
+                      const std::vector<ValueFreq>& b) {
+    return std::equal(
+        a.begin(), a.end(), b.begin(), b.end(),
+        [](const ValueFreq& x, const ValueFreq& y) {
+          return std::bit_cast<uint64_t>(x.value) ==
+                     std::bit_cast<uint64_t>(y.value) &&
+                 std::bit_cast<uint64_t>(x.freq) ==
+                     std::bit_cast<uint64_t>(y.freq);
+        });
+  };
+  bool matches = true;
+  for (const ColumnRef c : columns) {
+    const Table& table = db.table(c.table);
+    for (const double fraction : {1.0, 0.25}) {
+      matches = matches &&
+                same_runs(ColumnDistribution(table, c.column, fraction),
+                          testing::ReferenceColumnDistribution(
+                              table, c.column, fraction));
+    }
+    matches = matches &&
+              CountDistinctPrefixes(table, {c.column}) ==
+                  testing::ReferenceCountDistinctPrefixes(table, {c.column});
+  }
+  json->Add("build_ref_matches", matches ? 1.0 : 0.0);
+
+  constexpr int kReps = 4;
+  volatile double sink = 0.0;
+  auto sweep = [&](bool reference) {
+    double s = 0.0;
+    for (int r = 0; r < kReps; ++r) {
+      for (const ColumnRef c : columns) {
+        const Table& table = db.table(c.table);
+        s += static_cast<double>(
+            reference
+                ? testing::ReferenceColumnDistribution(table, c.column, 1.0)
+                      .size()
+                : ColumnDistribution(table, c.column, 1.0).size());
+        s += static_cast<double>(
+            reference
+                ? testing::ReferenceCountDistinctPrefixes(table, {c.column})
+                      .front()
+                : CountDistinctPrefixes(table, {c.column}).front());
+      }
+    }
+    sink = s;
+  };
+  const auto [new_ms, old_ms] =
+      BestMsInterleaved([&] { sweep(false); }, [&] { sweep(true); });
+  (void)sink;
+  json->Add("build_us_per_column",
+            new_ms * 1e3 / (kReps * static_cast<double>(columns.size())));
+  json->Add("build_speedup", new_ms > 0 ? old_ms / new_ms : 0.0);
+}
+
+// --- Section 6: WAL checksum ------------------------------------------------
 
 // The bytewise CRC-32 (one table lookup per byte) that the slice-by-8
 // Crc32 replaced.
@@ -469,7 +542,7 @@ void CrcSection(BenchJson* json) {
   json->Add("crc_speedup", new_ms > 0 ? old_ms / new_ms : 0.0);
 }
 
-// --- Section 6: optimizer call accounting ----------------------------------
+// --- Section 7: optimizer call accounting ----------------------------------
 
 void ProbeSection(BenchJson* json) {
   TwoTableDb t = MakeTwoTableDb(4000, 100);
@@ -493,7 +566,7 @@ void ProbeSection(BenchJson* json) {
   json->Add("exec_cost_t1", WorkloadExecCost(t.db, catalog, optimizer, w));
 }
 
-// --- Section 7: WAL commit path -------------------------------------------
+// --- Section 8: WAL commit path -------------------------------------------
 
 Workload WalWorkload(const TwoTableDb& t) {
   Workload w("wal");
@@ -599,6 +672,7 @@ int main() {
   EnumeratorSection(&json);
   ViewLookupSection(&json);
   ExecutorSection(&json);
+  BuildSection(&json);
   CrcSection(&json);
   ProbeSection(&json);
   WalSection(&json);

@@ -26,8 +26,9 @@ struct StatsBuildConfig {
 };
 
 // Deterministic sampling stride for `sample_fraction` (1 = every row).
-// The single definition shared by the scan kernels and the creation-cost
-// formula, so "rows a build touches" means the same thing everywhere.
+// It picks the rows the leading-column distribution and the MHIST-2 grid
+// read; the prefix distinct counts read every row. The creation-cost
+// formula charges the sampled row count alone (SampledRowCount).
 size_t SampleStride(double sample_fraction);
 
 // Rows a strided scan over `rows` rows visits.
@@ -54,18 +55,16 @@ BuiltStatistic BuildStatisticWithDist(const Database& db,
 // stand-in for the I/O, memory, and lock failures a real server's scans
 // hit), then builds. This is the entry the online loop uses; a non-OK
 // result leaves no partial state anywhere.
-Result<Statistic> TryBuildStatistic(
-    const Database& db, const std::vector<ColumnRef>& columns,
-    const StatsBuildConfig& config,
-    const char* fault_point = faults::kStatsCreate);
-
 Result<BuiltStatistic> TryBuildStatisticWithDist(
     const Database& db, const std::vector<ColumnRef>& columns,
     const StatsBuildConfig& config,
     const char* fault_point = faults::kStatsCreate);
 
 // Compresses one column into its sorted (value, frequency) distribution
-// over numeric keys; exposed for tests and for histogram experiments.
+// over numeric keys; exposed for tests and for histogram experiments. The
+// sampled keys are radix-sorted as order-preserving 64-bit images; a
+// sample holding both -0.0 and +0.0 is std::sorted instead, because those
+// compare equal and std::sort's tie order picks the value their run keeps.
 std::vector<ValueFreq> ColumnDistribution(const Table& table, ColumnId col,
                                           double sample_fraction);
 

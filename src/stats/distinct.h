@@ -16,7 +16,9 @@ uint64_t CountDistinct(const Table& table,
                        const std::vector<ColumnId>& columns);
 
 // Distinct counts for every prefix of `columns`: result[k] is the distinct
-// count over columns[0..k]. One pass per prefix.
+// count over columns[0..k]. Each row keeps one running hash; prefix k folds
+// in column k and counts the distinct hashes in a flat hash set, so the
+// work is O(rows x width). Every row is read, also for sampled builds.
 std::vector<uint64_t> CountDistinctPrefixes(
     const Table& table, const std::vector<ColumnId>& columns);
 

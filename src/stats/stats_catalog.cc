@@ -177,7 +177,9 @@ Result<double> StatsCatalog::TryCreateStatistic(
   // other statistics on the table still need it — so flag this entry to
   // rescan once instead.
   entry.pending_full_rebuild = deltas_.Tracked(columns.front().table);
-  // Sampled builds scan (and sort) only the sampled fraction.
+  // A sampled build charges only the sampled rows: its leading-column
+  // distribution reads them alone, although its prefix distinct counts
+  // read every row of the table.
   const size_t effective_rows =
       SampledRowCount(db_->table(columns.front().table).num_rows(),
                       SampleStride(build_config_.sample_fraction));

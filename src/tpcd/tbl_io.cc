@@ -1,5 +1,8 @@
 #include "tpcd/tbl_io.h"
 
+#include <cerrno>
+#include <cmath>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -37,7 +40,10 @@ Result<Datum> FieldToCell(const std::string& field, ValueType type) {
       errno = 0;
       char* end = nullptr;
       const double v = std::strtod(field.c_str(), &end);
-      if (end == field.c_str() || *end != '\0' || errno != 0) {
+      // strtod accepts "nan" and "inf" without an error; no column may
+      // hold them (statistic builds order keys, histograms bound buckets).
+      if (end == field.c_str() || *end != '\0' || errno != 0 ||
+          !std::isfinite(v)) {
         return Status::InvalidArgument("bad double field: " + field);
       }
       return Datum(v);

@@ -1,16 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/mnsa.h"
+#include "executor/dml_exec.h"
 #include "optimizer/optimizer.h"
 #include "rags/rags.h"
 #include "stats/builder.h"
 #include "stats/distinct.h"
 #include "stats/stats_catalog.h"
 #include "stats/stats_cost.h"
+#include "tests/reference_builder.h"
 #include "tests/reference_view.h"
 #include "tests/test_util.h"
 #include "tpcd/dbgen.h"
@@ -100,6 +106,190 @@ TEST(BuilderTest, EquiDepthConfigHonored) {
   config.num_buckets = 7;
   const Statistic s = BuildStatistic(t.db, {t.fact_val}, config);
   EXPECT_LE(s.histogram().buckets().size(), 7u);
+}
+
+// --- build kernels vs the comparison-sort reference ---
+
+// The first run where `got` and `want` differ in value or freq bits.
+::testing::AssertionResult SameRuns(const std::vector<ValueFreq>& got,
+                                    const std::vector<ValueFreq>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " runs vs " << want.size();
+  }
+  for (size_t i = 0; i < got.size(); ++i) {
+    if (std::bit_cast<uint64_t>(got[i].value) !=
+            std::bit_cast<uint64_t>(want[i].value) ||
+        std::bit_cast<uint64_t>(got[i].freq) !=
+            std::bit_cast<uint64_t>(want[i].freq)) {
+      return ::testing::AssertionFailure()
+             << "run " << i << ": (" << got[i].value << ", " << got[i].freq
+             << ") vs (" << want[i].value << ", " << want[i].freq << ")";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The leading column's distribution at sample fractions 1 and 0.25, and
+// every prefix's distinct count, equal the reference's.
+void ExpectBuildMatchesReference(const Database& db,
+                                 const std::vector<ColumnRef>& columns) {
+  const Table& table = db.table(columns.front().table);
+  const ColumnId leading = columns.front().column;
+  for (const double fraction : {1.0, 0.25}) {
+    ASSERT_TRUE(SameRuns(
+        ColumnDistribution(table, leading, fraction),
+        testing::ReferenceColumnDistribution(table, leading, fraction)))
+        << MakeStatKey(columns) << " sample fraction " << fraction;
+  }
+  std::vector<ColumnId> cols;
+  for (const ColumnRef& c : columns) cols.push_back(c.column);
+  ASSERT_EQ(CountDistinctPrefixes(table, cols),
+            testing::ReferenceCountDistinctPrefixes(table, cols))
+      << MakeStatKey(columns);
+}
+
+TEST(BuildKernelTest, BuildMatchesReferenceBitForBit) {
+  Database db = tpcd::BuildTpcdVariant("TPCD_MIX", 0.0005, 42);
+  // Every multi-column statistic MNSA/D creates over two seeded streams.
+  std::vector<std::vector<ColumnRef>> multi_column;
+  {
+    StatsCatalog catalog(&db);
+    const Optimizer optimizer(&db);
+    MnsaConfig mnsa_d;
+    mnsa_d.drop_detection = true;
+    for (const uint64_t seed : {5, 11}) {
+      rags::RagsConfig rc;
+      rc.num_statements = 60;
+      rc.complexity = rags::Complexity::kComplex;
+      rc.seed = seed;
+      rc.join_edges = tpcd::TpcdForeignKeys(db);
+      const Workload w = rags::Generate(db, rc);
+      for (const Query* q : w.Queries()) {
+        RunMnsa(optimizer, &catalog, *q, mnsa_d);
+      }
+    }
+    for (const std::vector<StatKey>& keys :
+         {catalog.ActiveKeys(), catalog.DropListKeys()}) {
+      for (const StatKey& key : keys) {
+        const Statistic& stat = catalog.FindEntry(key)->stat;
+        if (stat.width() >= 2) multi_column.push_back(stat.columns());
+      }
+    }
+  }
+  ASSERT_GT(multi_column.size(), 10u);
+
+  rags::RagsConfig churn;
+  churn.num_statements = 200;
+  churn.update_fraction = 1.0;
+  churn.seed = 9;
+  churn.join_edges = tpcd::TpcdForeignKeys(db);
+  const Workload dml = rags::Generate(db, churn);
+  ASSERT_EQ(dml.num_dml(), 200u);
+
+  int compared = 0;
+  for (const bool after_dml : {false, true}) {
+    if (after_dml) {
+      for (const Statement& s : dml.statements()) ApplyDml(&db, s.dml);
+    }
+    for (TableId t = 0; t < db.num_tables(); ++t) {
+      const int width = db.table(t).schema().num_columns();
+      for (ColumnId c = 0; c < width; ++c) {
+        ASSERT_NO_FATAL_FAILURE(ExpectBuildMatchesReference(db, {{t, c}}))
+            << (after_dml ? "after DML" : "plain");
+        ++compared;
+      }
+    }
+    for (const std::vector<ColumnRef>& columns : multi_column) {
+      ASSERT_NO_FATAL_FAILURE(ExpectBuildMatchesReference(db, columns))
+          << (after_dml ? "after DML" : "plain");
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 120);
+}
+
+// A table with one DOUBLE column holding `values` in order, and an INT64
+// column beside it for the two-column prefix counts.
+Database DoubleColumnDb(const std::vector<double>& values) {
+  Database db;
+  Table& t = db.mutable_table(db.AddTable(Schema(
+      "t", {{"x", ValueType::kDouble}, {"k", ValueType::kInt64}})));
+  for (size_t i = 0; i < values.size(); ++i) {
+    t.AppendRow({Datum(values[i]), Datum(static_cast<int64_t>(i % 3))});
+  }
+  return db;
+}
+
+// -0.0 and +0.0 compare equal, so the run they share stores whichever
+// std::sort puts first; the build must store the same one.
+TEST(BuildKernelTest, SignedZeroTiesMatchStdSort) {
+  std::vector<std::vector<double>> cases = {
+      {-0.0, 0.0},
+      {0.0, -0.0},
+      {0.0, -0.0, -0.0, -0.0},
+      {-0.0, 0.0, 0.0, 0.0, 1.5, -2.5},
+      {-0.0, -0.0, -0.0},
+      {-0.0, 3.0, -1.0, -0.0},
+  };
+  for (const bool negative_first : {true, false}) {
+    std::vector<double> mixed;
+    for (int i = 0; i < 1000; ++i) {
+      const double zero = (i % 7 == 0) == negative_first ? -0.0 : 0.0;
+      mixed.push_back(i % 3 == 0 ? zero : 0.5 * (i % 41) - 10.0);
+    }
+    cases.push_back(mixed);
+  }
+  cases.push_back(std::vector<double>(700, -0.0));
+  int kept_negative = 0, kept_positive = 0;
+  for (const std::vector<double>& values : cases) {
+    const Database db = DoubleColumnDb(values);
+    ASSERT_NO_FATAL_FAILURE(ExpectBuildMatchesReference(db, {{0, 0}, {0, 1}}))
+        << values.size() << " values starting " << values.front();
+    for (const ValueFreq& vf : ColumnDistribution(db.table(0), 0, 1.0)) {
+      if (vf.value == 0.0) {
+        ++(std::signbit(vf.value) ? kept_negative : kept_positive);
+      }
+    }
+  }
+  // Both tie orders occur, so a build that ignored them would fail above.
+  EXPECT_GT(kept_negative, 0);
+  EXPECT_GT(kept_positive, 0);
+}
+
+TEST(BuildKernelTest, EdgeTablesMatchReference) {
+  constexpr int64_t k2To53 = int64_t{1} << 53;
+  // This value's std::hash is the FNV basis, so its one-column row hash
+  // is 0, the hash set's empty marker.
+  const int64_t zero_hash_key = static_cast<int64_t>(0xcbf29ce484222325ull);
+  const std::vector<std::vector<int64_t>> int_cases = {
+      {},
+      {7},
+      std::vector<int64_t>(500, 42),
+      // Distinct integers that round to one double share a run.
+      {k2To53, k2To53 + 1, k2To53 + 2, k2To53 + 3, -k2To53 - 1, -k2To53,
+       INT64_MAX, INT64_MAX - 1, INT64_MIN, INT64_MIN + 1, 0, -1},
+      {zero_hash_key, 1, 2, zero_hash_key, 0},
+  };
+  const std::vector<std::string> strings = {
+      "", "a", "abcdefgh1", "abcdefgh2", "zzz", "a", "", "\xff\x01"};
+  for (const std::vector<int64_t>& ints : int_cases) {
+    Database db;
+    Table& t = db.mutable_table(
+        db.AddTable(Schema("t", {{"i", ValueType::kInt64},
+                                 {"d", ValueType::kDouble},
+                                 {"s", ValueType::kString}})));
+    for (size_t r = 0; r < ints.size(); ++r) {
+      t.AppendRow({Datum(ints[r]), Datum(ints.size() == 500 ? 1.25 : -0.5 * r),
+                   Datum(strings[r % strings.size()])});
+    }
+    for (const std::vector<ColumnRef>& columns :
+         std::vector<std::vector<ColumnRef>>{
+             {{0, 0}, {0, 1}, {0, 2}}, {{0, 1}, {0, 2}}, {{0, 2}, {0, 0}}}) {
+      ASSERT_NO_FATAL_FAILURE(ExpectBuildMatchesReference(db, columns))
+          << ints.size() << " rows";
+    }
+  }
 }
 
 TEST(StatisticTest, KeyAndName) {

@@ -1,5 +1,8 @@
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -89,6 +92,35 @@ TEST_F(TblIoTest, BadIntegerFieldReported) {
   out.close();
   const Status s = tpcd::LoadTblFiles(&db, dir_.string());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+}
+
+// strtod consumes "nan" and "inf" whole with errno 0; the loader must
+// still refuse them, since no column may hold a non-finite double. A
+// negative zero is an ordinary value.
+TEST_F(TblIoTest, NonFiniteDoubleFieldReported) {
+  std::filesystem::create_directories(dir_);
+  for (const char* field : {"nan", "NAN", "-nan", "inf", "-inf", "infinity",
+                            "1e999", "-1e999"}) {
+    Database db;
+    db.AddTable(Schema("t", {{"x", ValueType::kDouble}}));
+    std::ofstream out(dir_ / "t.tbl");
+    out << "1.5|\n" << field << "|\n";
+    out.close();
+    const Status s = tpcd::LoadTblFiles(&db, dir_.string());
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << field;
+    EXPECT_NE(s.message().find("bad double field: "), std::string::npos)
+        << s.ToString();
+  }
+  Database db;
+  db.AddTable(Schema("t", {{"x", ValueType::kDouble}}));
+  std::ofstream out(dir_ / "t.tbl");
+  out << "-0.0|\n0.0|\n";
+  out.close();
+  ASSERT_TRUE(tpcd::LoadTblFiles(&db, dir_.string()).ok());
+  const std::vector<double>& x = db.table(0).column(0).double_data();
+  ASSERT_EQ(x.size(), 2u);
+  EXPECT_TRUE(x[0] == 0.0 && std::signbit(x[0]));
+  EXPECT_TRUE(x[1] == 0.0 && !std::signbit(x[1]));
 }
 
 }  // namespace
