@@ -17,7 +17,8 @@
 // docs/ARCHITECTURE.md §9):
 //
 //   stats.create      building a new statistic from data
-//   stats.refresh     full rebuild of a statistic during update triggering
+//   stats.refresh     refreshing a statistic (merge or rebuild) during
+//                     update triggering
 //   persistence.save  writing the statistics catalog to disk
 //   persistence.load  restoring the statistics catalog from disk
 //   optimizer.probe   an MNSA / Shrinking Set optimizer probe
@@ -26,9 +27,9 @@
 //                     poisons the table's delta; the DML itself proceeds)
 //   persistence.append   appending a record to the catalog write-ahead
 //                        journal (stats/durability.*)
-//   persistence.fsync    flushing a journal record or snapshot to stable
-//                        storage
-//   persistence.rename   atomically publishing a snapshot or fresh journal
+//   persistence.fsync    flushing a journal record, a snapshot or the
+//                        checkpoint's journal reset to stable storage
+//   persistence.rename   atomically publishing a snapshot
 //
 // The three persistence.* points additionally understand *simulated kill*
 // schedules (FaultSchedule::torn_write_bytes >= 0, read through

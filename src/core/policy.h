@@ -57,10 +57,10 @@ struct ManagerPolicy {
   AgingPolicy aging;
 
   // With a CatalogDurability attached (AutoStatsManager::AttachDurability),
-  // publish a full snapshot + fresh journal every this many processed
-  // statements. 0 journals every statement but never snapshots (recovery
-  // then replays the whole journal). Ignored when no durability is
-  // attached.
+  // publish a full snapshot and reset the journal every this many
+  // processed statements. 0 journals every statement but never snapshots
+  // (recovery then replays the whole journal). Ignored when no durability
+  // is attached.
   int durability_checkpoint_every = 0;
 
   // Bounded retry + backoff for transient faults in the manager's own

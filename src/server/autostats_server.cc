@@ -46,6 +46,7 @@ AutoStatsServer::AutoStatsServer(ServerOptions options)
                                  options_.fsync_budget_per_sec,
                                  options_.fsync_max_coalesce_us})
                        : nullptr) {
+  AUTOSTATS_CHECK(options_.breaker_trip_threshold >= 1);
   resolved_workers_ =
       options_.num_workers > 0
           ? options_.num_workers
@@ -197,10 +198,9 @@ void AutoStatsServer::FlushTenant(Tenant* t, bool pass) {
   // A failed pass feeds the breaker and requests a trip the owning worker
   // performs at its next batch boundary (the trip detaches durability —
   // a serial-point action).
-  const int threshold = options_.breaker_trip_threshold;
-  if (pass && threshold > 0 &&
+  if (pass &&
       t->failure_streak.fetch_add(1, std::memory_order_relaxed) + 1 >=
-          threshold) {
+          options_.breaker_trip_threshold) {
     t->trip_requested.store(true, std::memory_order_relaxed);
   }
 }
@@ -444,7 +444,6 @@ void AutoStatsServer::RunTenantBatch(Tenant* t) {
     }
     parked_local.clear();
   };
-  const int threshold = options_.breaker_trip_threshold;
   {
     TenantScopes scopes(t->name, &t->trace);
     for (QueuedStatement& qs : batch) {
@@ -480,23 +479,21 @@ void AutoStatsServer::RunTenantBatch(Tenant* t) {
                 .count());
         statements_total_->Add();
       }
-      if (threshold > 0) {
-        // Feed the breaker: a sealed WAL (simulated kill) trips at once;
-        // durability-commit and build failures trip on a streak.
-        const bool sealed =
-            t->durability != nullptr && t->durability->crashed();
-        const bool failed = sealed || outcome.durability_failures > 0 ||
-                            outcome.builds_failed > 0;
-        if (failed) {
-          const int streak =
-              t->failure_streak.fetch_add(1, std::memory_order_relaxed) + 1;
-          if (sealed || streak >= threshold) {
-            TripBreaker(t, sealed ? "wal_sealed" : "failure_streak");
-            degraded = true;  // park the rest of this batch
-          }
-        } else {
-          t->failure_streak.store(0, std::memory_order_relaxed);
+      // Feed the breaker: a sealed WAL (simulated kill) trips at once;
+      // durability-commit and build failures trip on a streak.
+      const bool sealed =
+          t->durability != nullptr && t->durability->crashed();
+      const bool failed = sealed || outcome.durability_failures > 0 ||
+                          outcome.builds_failed > 0;
+      if (failed) {
+        const int streak =
+            t->failure_streak.fetch_add(1, std::memory_order_relaxed) + 1;
+        if (sealed || streak >= options_.breaker_trip_threshold) {
+          TripBreaker(t, sealed ? "wal_sealed" : "failure_streak");
+          degraded = true;  // park the rest of this batch
         }
+      } else {
+        t->failure_streak.store(0, std::memory_order_relaxed);
       }
     }
   }
@@ -610,9 +607,9 @@ bool AutoStatsServer::TryRecoverTenant(Tenant* t) {
   bool resumed_ok = true;
   if (!t->config.durability_dir.empty()) {
     // The half-open probe: Resume publishes a full snapshot of the live
-    // catalog and a fresh journal, superseding the sealed one, through
-    // the same fault-gated path as any checkpoint. A still-failing disk
-    // fails here, and the tenant stays quarantined.
+    // catalog and resets the journal, superseding the sealed one's
+    // records, through the same fault-gated path as any checkpoint. A
+    // still-failing disk fails here, and the tenant stays quarantined.
     Result<std::unique_ptr<CatalogDurability>> resumed =
         CatalogDurability::Resume(t->catalog.get(),
                                   {.dir = t->config.durability_dir},

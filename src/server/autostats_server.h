@@ -146,9 +146,8 @@ struct ServerOptions {
   int fsync_max_coalesce_us = 10000;
   // Circuit breaker: consecutive failed statements (a durability commit
   // failure, a build that exhausted retries, or a coordinator fsync-pass
-  // failure) before a tenant trips Healthy -> Degraded. A sealed WAL
-  // (simulated kill) trips immediately. 0 disables the breakers
-  // (pre-breaker behavior: durability failures retry forever).
+  // failure) before a tenant trips Healthy -> Degraded; at least 1. A
+  // sealed WAL (simulated kill) trips immediately.
   int breaker_trip_threshold = 3;
   // Half-open probe backoff, measured in statements the tenant serves
   // degraded (logical time): the first probe runs after ~base parked

@@ -301,11 +301,10 @@ FleetResult RunOnce(const ChaosOptions& options, const ChaosPlan& plan,
   // Determinism: no wall-clock fsync coordinator — every trip, probe, and
   // trace byte is a pure function of the streams.
   so.fsync_budget_per_sec = 0.0;
-  so.breaker_trip_threshold = options.breaker_trip_threshold;
-  so.breaker_probe_backoff_statements =
-      options.breaker_probe_backoff_statements;
-  so.breaker_probe_backoff_max_statements =
-      options.breaker_probe_backoff_max_statements;
+  // Small breaker backoff so in-episode probes actually exercise the
+  // half-open path.
+  so.breaker_probe_backoff_statements = 2;
+  so.breaker_probe_backoff_max_statements = 16;
   so.breaker_seed = options.seed;
   // Only the chaos run writes post-mortems; the reference twin stays
   // dump-free so the two runs' observable bytes still match exactly.
@@ -551,41 +550,39 @@ ChaosReport RunChaosFleet(const ChaosOptions& options) {
 
   // 1. Untargeted tenants — including lifecycle targets and latency-spike
   // victims — must be byte-identical to the no-fault reference twin.
-  if (!options.skip_reference_run) {
-    const FleetResult ref =
-        RunOnce(options, plan, options.root_dir + "/ref", /*arm=*/false);
-    for (const std::string& err : ref.errors) {
-      report.findings.push_back("reference run: " + err);
+  const FleetResult ref =
+      RunOnce(options, plan, options.root_dir + "/ref", /*arm=*/false);
+  for (const std::string& err : ref.errors) {
+    report.findings.push_back("reference run: " + err);
+  }
+  if (ref.tenants.size() != chaos.tenants.size()) {
+    report.findings.push_back("fleet sizes diverged between runs");
+  }
+  const size_t n = std::min(ref.tenants.size(), chaos.tenants.size());
+  for (size_t i = 0; i < n; ++i) {
+    if (plan.error_victims.count(i) != 0) continue;
+    bool identical = true;
+    if (chaos.tenants[i].dump != ref.tenants[i].dump ||
+        chaos.tenants[i].digest != ref.tenants[i].digest) {
+      report.findings.push_back(
+          "fault leaked into tenant " + ChaosTenantName(i) +
+          ": catalog diverged" +
+          FirstDiff(chaos.tenants[i].dump, ref.tenants[i].dump));
+      identical = false;
     }
-    if (ref.tenants.size() != chaos.tenants.size()) {
-      report.findings.push_back("fleet sizes diverged between runs");
+    // Latency victims legitimately record fault.fire trace events (the
+    // injector's own observability), which shift every later sequence
+    // number — for them only the catalog bytes must match. Everyone
+    // else must match trace bytes too.
+    if (plan.latency_victims.count(i) == 0 &&
+        chaos.tenants[i].trace != ref.tenants[i].trace) {
+      report.findings.push_back(
+          "fault leaked into tenant " + ChaosTenantName(i) +
+          ": trace diverged" +
+          FirstDiff(chaos.tenants[i].trace, ref.tenants[i].trace));
+      identical = false;
     }
-    const size_t n = std::min(ref.tenants.size(), chaos.tenants.size());
-    for (size_t i = 0; i < n; ++i) {
-      if (plan.error_victims.count(i) != 0) continue;
-      bool identical = true;
-      if (chaos.tenants[i].dump != ref.tenants[i].dump ||
-          chaos.tenants[i].digest != ref.tenants[i].digest) {
-        report.findings.push_back(
-            "fault leaked into tenant " + ChaosTenantName(i) +
-            ": catalog diverged" +
-            FirstDiff(chaos.tenants[i].dump, ref.tenants[i].dump));
-        identical = false;
-      }
-      // Latency victims legitimately record fault.fire trace events (the
-      // injector's own observability), which shift every later sequence
-      // number — for them only the catalog bytes must match. Everyone
-      // else must match trace bytes too.
-      if (plan.latency_victims.count(i) == 0 &&
-          chaos.tenants[i].trace != ref.tenants[i].trace) {
-        report.findings.push_back(
-            "fault leaked into tenant " + ChaosTenantName(i) +
-            ": trace diverged" +
-            FirstDiff(chaos.tenants[i].trace, ref.tenants[i].trace));
-        identical = false;
-      }
-      if (identical) ++report.tenants_checked_identical;
-    }
+    if (identical) ++report.tenants_checked_identical;
   }
 
   // 2. Error victims — converge to the serial replay oracle, lose no

@@ -79,15 +79,6 @@ struct ChaosOptions {
   // Root directory for the per-tenant WAL directories. The harness
   // wipes and recreates "<root>/<run>" for each of its two runs.
   std::string root_dir = "chaos_fleet.dir";
-  // Breaker knobs passed through to ServerOptions (small backoff so
-  // in-episode probes actually exercise the half-open path).
-  int breaker_trip_threshold = 3;
-  int64_t breaker_probe_backoff_statements = 2;
-  int64_t breaker_probe_backoff_max_statements = 16;
-  // Skip the no-fault twin run (and with it the untargeted byte-identity
-  // check); the serial-oracle victim check still runs. For benches that
-  // only want the chaos load.
-  bool skip_reference_run = false;
   // When non-empty, the CHAOS run's server dumps each victim's flight
   // recorder here on every breaker trip (the reference twin never arms
   // it). The harness wipes the directory first and counts the dumps into

@@ -14,7 +14,7 @@
 // deltas are exact, so base + delta is bit-identical to a rescan's
 // distribution and the re-bucketed histogram is bit-identical to a full
 // rebuild's. Under sampled builds the base carries sampling error and the
-// merge inherits it — the same approximation ScaledTo already accepts.
+// merge inherits it until the next rescan.
 //
 // Ordering precondition: sketch values are Datum::NumericKey encodings,
 // which are totally ordered doubles — int64 and string keys can never be

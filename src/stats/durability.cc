@@ -495,26 +495,20 @@ std::string EncodeSnapshot(const StatsCatalog& catalog, uint64_t lsn) {
   return EncodeRecord(catalog, lsn, counters, {}, keys);
 }
 
-// Writes a single-frame file — the snapshot magic and one frame carrying
-// `payload`, or only the journal magic when `payload` is empty — to `tmp`,
-// fsyncs it, and atomically renames it over `final_path`, honoring the
-// fsync and rename crash gates. Sets *killed when a gate simulated a
-// process kill; the caller decides what dies with it.
+// Writes a snapshot file — the snapshot magic and one frame carrying
+// `payload` — to `tmp`, fsyncs it, and atomically renames it over
+// `final_path`, honoring the fsync and rename crash gates. Sets *killed
+// when a gate simulated a process kill; the caller decides what dies with
+// it.
 Status PublishFile(const std::string& tmp, const std::string& final_path,
                    const std::string& payload, const char* gate_detail,
                    bool* killed) {
   std::FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return Status::Internal("cannot open " + tmp);
-  const bool is_journal = payload.empty();
-  const char* magic = is_journal ? kJournalMagic : kSnapshotMagic;
-  bool write_ok = std::fwrite(magic, 1, 8, f) == 8;
-  if (!is_journal) {
-    const std::string frame = FrameBytes(payload);
-    write_ok =
-        write_ok &&
-        std::fwrite(frame.data(), 1, frame.size(), f) == frame.size();
-  }
-  if (!write_ok) {
+  const std::string frame = FrameBytes(payload);
+  if (std::fwrite(kSnapshotMagic, 1, sizeof(kSnapshotMagic), f) !=
+          sizeof(kSnapshotMagic) ||
+      std::fwrite(frame.data(), 1, frame.size(), f) != frame.size()) {
     std::fclose(f);
     return Status::Internal("write failed for " + tmp);
   }
@@ -664,8 +658,8 @@ Result<std::unique_ptr<CatalogDurability>> CatalogDurability::Resume(
   }
   d->next_lsn_ = resume_lsn + 1;
   // The checkpoint publishes the authoritative snapshot at resume_lsn and
-  // swaps in a fresh journal. Every record the sealed journal held is at
-  // or below resume_lsn, so recovery skips it even if the swap fails.
+  // resets the journal. Every record the sealed journal held is at or
+  // below resume_lsn, so recovery skips it even if the reset fails.
   AUTOSTATS_RETURN_IF_ERROR(d->Checkpoint());
   catalog->set_mutation_listener(d.get());
   return d;
@@ -701,8 +695,9 @@ Status CatalogDurability::Recover(RecoveryInfo* info) {
   }
 
   // 2. Replay the journal, truncating at the first bad record. Records at
-  // or below the snapshot LSN are the pre-checkpoint tail of an
-  // interrupted journal swap: already subsumed, skipped.
+  // or below the snapshot LSN are the pre-checkpoint journal of a
+  // checkpoint whose journal reset did not complete: already subsumed,
+  // skipped.
   const std::string journal_path = JournalPath();
   std::string data;
   const Status read = ReadWholeFile(journal_path, &data);
@@ -734,7 +729,7 @@ Status CatalogDurability::Recover(RecoveryInfo* info) {
           break;
         }
         // Records at or below the snapshot LSN are the stale journal of
-        // an interrupted swap: subsumed, and legitimately below the
+        // an interrupted reset: subsumed, and legitimately below the
         // snapshot's version, so they are skipped before the
         // monotonicity check.
         if (rec.lsn <= applied_lsn) continue;
@@ -775,10 +770,7 @@ Status CatalogDurability::Recover(RecoveryInfo* info) {
     return Status::Internal("cannot open " + journal_path);
   }
   const auto journal_size = fs::file_size(journal_path, ec);
-  if (!ec && journal_size == 0) {
-    std::fwrite(kJournalMagic, 1, sizeof(kJournalMagic), journal_);
-    AUTOSTATS_RETURN_IF_ERROR(FsyncStream(journal_, journal_path));
-  }
+  if (!ec && journal_size == 0) AUTOSTATS_RETURN_IF_ERROR(ResetJournal());
 
   next_lsn_ = applied_lsn + 1;
   info->last_lsn = applied_lsn;
@@ -1020,7 +1012,8 @@ Status CatalogDurability::Checkpoint() {
     s = CheckpointImpl(&defer_fsync);
   }
   // Only reachable when the boundary commit succeeded but the snapshot
-  // publish failed: the committed record still owes its deferred fsync.
+  // publish or the journal reset failed: the committed record still owes
+  // its deferred fsync.
   if (defer_fsync) fsync_deferral_();
   if (obs::TraceActive()) {
     if (s.ok()) {
@@ -1033,6 +1026,16 @@ Status CatalogDurability::Checkpoint() {
     }
   }
   return s;
+}
+
+Status CatalogDurability::ResetJournal() {
+  const std::string path = JournalPath();
+  if (std::fflush(journal_) != 0 || ::ftruncate(::fileno(journal_), 0) != 0 ||
+      std::fwrite(kJournalMagic, 1, sizeof(kJournalMagic), journal_) !=
+          sizeof(kJournalMagic)) {
+    return Status::Internal("cannot reset " + path);
+  }
+  return FsyncStream(journal_, path);
 }
 
 Status CatalogDurability::CheckpointImpl(bool* defer_fsync) {
@@ -1050,24 +1053,27 @@ Status CatalogDurability::CheckpointImpl(bool* defer_fsync) {
   Status published =
       PublishFile(options_.dir + "/snapshot.tmp", SnapshotPath(lsn),
                   EncodeSnapshot(*catalog_, lsn), "snapshot", &killed);
-  // Swap in a fresh, empty journal the same way. Failure here is benign:
-  // the old journal's records are all at or below the snapshot LSN and
-  // recovery skips them.
+  // Reset the open journal to its magic. A failure or kill before the
+  // reset is durable is benign: the journal's records are all at or below
+  // the snapshot LSN and recovery skips them.
   if (published.ok()) {
-    published = PublishFile(options_.dir + "/journal.tmp", JournalPath(),
-                            std::string(), "journal-swap", &killed);
+    int64_t torn = -1;
+    published =
+        PokeFaultCrash(faults::kPersistenceFsync, "journal-reset", &torn);
+    killed = torn >= 0;
+  }
+  if (published.ok()) {
+    published = ResetJournal();
+    // A reset that failed in the file may have cut its magic, and records
+    // appended past that would be unreadable: stop writing, as after a
+    // kill.
+    killed = !published.ok();
   }
   if (killed) Seal();
   AUTOSTATS_RETURN_IF_ERROR(published);
-  std::fclose(journal_);
-  journal_ = std::fopen(JournalPath().c_str(), "ab");
-  if (journal_ == nullptr) {
-    Seal();  // no journal to append to — equivalent to losing the disk
-    return Status::Internal("cannot reopen " + JournalPath());
-  }
   // Any appends awaiting their fsync lived in the journal that was just
-  // swapped out; the snapshot covers them, so the window is clean —
-  // including a fsync the boundary commit deferred above.
+  // reset; the snapshot covers them, so the window is clean — including a
+  // fsync the boundary commit deferred above.
   appends_since_fsync_ = 0;
   *defer_fsync = false;
 
@@ -1113,7 +1119,7 @@ Status LoadCatalog(StatsCatalog* catalog, const std::string& path) {
   for (StatEntry& e : rec.entries) {
     // The base comes back bit-exact, but this process's DeltaStore never
     // saw the DML since the save: rescan first, as after a recovery.
-    if (!e.base_dist.empty()) e.pending_full_rebuild = true;
+    e.pending_full_rebuild = true;
     catalog->RestoreEntry(std::move(e));
   }
   return Status::OK();

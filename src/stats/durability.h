@@ -12,8 +12,8 @@
 //    stats_version, LSN).
 //  - Periodic atomic snapshots: the complete catalog state written to a
 //    temporary file, fsynced, and published with an atomic rename
-//    (snapshot-<lsn>.ckpt); the journal is then swapped for a fresh one
-//    the same way and old snapshots pruned to the newest few.
+//    (snapshot-<lsn>.ckpt); the open journal is then reset in place to
+//    its magic and fsynced, and old snapshots pruned to the newest few.
 //  - Recovery: load the newest snapshot that validates, replay journal
 //    records with higher LSNs, truncate the journal at the first torn or
 //    corrupt record (a torn tail is expected after a crash — everything
@@ -120,8 +120,8 @@ Status SaveCatalog(const StatsCatalog& catalog, const std::string& path);
 // file is checked whole first, so a failed load leaves the catalog and its
 // stats_version untouched. Only entries are installed, not the clock or
 // counters; each replaces any entry with its key and bumps stats_version.
-// An entry that held a base comes back pending_full_rebuild: the base is
-// exact, but this process's DeltaStore never saw the DML since the save.
+// Every entry comes back pending_full_rebuild: its base is exact, but this
+// process's DeltaStore never saw the DML since the save.
 Status LoadCatalog(StatsCatalog* catalog, const std::string& path);
 
 // The durability manager for one StatsCatalog. Attaches itself as the
@@ -142,12 +142,14 @@ class CatalogDurability : public CatalogMutationListener {
   // directory (the circuit-breaker recovery path, server/autostats_server).
   // The in-memory catalog is authoritative — it is exactly the state after
   // `resume_lsn` processed statements — so instead of recovering, this
-  // publishes a full-catalog snapshot at `resume_lsn` and swaps in a fresh
-  // journal (both fault-gated like any checkpoint), superseding whatever
+  // opens the journal (creating an empty one if absent), publishes a
+  // full-catalog snapshot at `resume_lsn` and resets the journal to its
+  // magic (both fault-gated like any checkpoint), superseding whatever
   // the sealed journal held, then attaches as the catalog's mutation
-  // listener. On failure the directory is untouched as far as recovery is
-  // concerned (an unrenamed tmp file at worst) and the catalog keeps no
-  // durability. Requires resume_lsn > 0 and no listener already attached.
+  // listener. On failure the catalog keeps no durability, and recovery
+  // finds the previous state (an unrenamed tmp file at worst) or, when
+  // only the reset failed, the new snapshot. Requires resume_lsn > 0 and
+  // no listener already attached.
   static Result<std::unique_ptr<CatalogDurability>> Resume(
       StatsCatalog* catalog, const DurabilityOptions& options,
       uint64_t resume_lsn);
@@ -203,9 +205,14 @@ class CatalogDurability : public CatalogMutationListener {
   }
 
   // Publishes a full-catalog snapshot at the last committed LSN (tmp file
-  // + fsync + atomic rename), swaps in a fresh journal the same way, and
-  // prunes snapshots beyond options.keep_snapshots. Commits pending
-  // mutations first so the snapshot sits on a statement boundary.
+  // + fsync + atomic rename + directory fsync), resets the open journal in
+  // place to its magic and fsyncs it, and prunes snapshots beyond
+  // options.keep_snapshots: three fsyncs and one rename. Commits pending
+  // mutations first so the snapshot sits on a statement boundary. A
+  // failure before the reset is durable fails the checkpoint and leaves
+  // the journal's records, all at or below the snapshot LSN, for recovery
+  // to skip; a kill, or a reset that failed in the file, seals the
+  // writer.
   Status Checkpoint();
 
  private:
@@ -258,6 +265,10 @@ class CatalogDurability : public CatalogMutationListener {
   // One physical journal fsync covering every append since the last one;
   // honors the fsync crash gate and closes the deferred window.
   Status SyncJournal(const char* gate_detail);
+  // Empties the open journal in place and writes its magic, then fsyncs
+  // it: a fresh journal for recovery, Checkpoint() and Resume(). Ungated;
+  // the journal stays open in append mode.
+  Status ResetJournal();
   void ClearDirty();
 
   std::string JournalPath() const;

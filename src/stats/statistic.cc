@@ -35,18 +35,6 @@ double Statistic::PrefixDistinct(int k) const {
   return std::max(prefix_distinct_[static_cast<size_t>(k - 1)], 1.0);
 }
 
-Statistic Statistic::ScaledTo(double new_rows) const {
-  const double factor =
-      std::max(new_rows, 1.0) / std::max(rows_at_build_, 1.0);
-  std::vector<HistogramBucket> buckets = histogram_.buckets();
-  for (HistogramBucket& b : buckets) b.rows *= factor;
-  return Statistic(columns_,
-                   Histogram(std::move(buckets),
-                             histogram_.total_rows() * factor,
-                             histogram_.total_distinct()),
-                   prefix_distinct_, std::max(new_rows, 1.0));
-}
-
 std::string Statistic::Name(const Database& db) const {
   const Table& t = db.table(table());
   std::vector<std::string> names;

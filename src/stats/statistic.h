@@ -48,12 +48,6 @@ class Statistic {
   const Histogram2D& grid2d() const { return grid2d_; }
   void set_grid2d(Histogram2D grid) { grid2d_ = std::move(grid); }
 
-  // Incremental refresh (after Gibbons et al. [8] / SQL Server's row-count
-  // scaling): the same statistic with bucket row counts scaled to
-  // `new_rows` total rows. Distinct counts are kept — a deliberate
-  // approximation that costs O(buckets) instead of a rebuild.
-  Statistic ScaledTo(double new_rows) const;
-
   StatKey key() const { return MakeStatKey(columns_); }
 
   // "lineitem(l_shipdate, l_quantity)" for reports.

@@ -451,124 +451,76 @@ double StatsCatalog::RefreshIfTriggered(const UpdateTriggerPolicy& policy) {
         continue;
       }
       const int next_count = entry.update_count + 1;
-      const bool cadence_rescan =
-          !policy.incremental ||
-          next_count % std::max(policy.full_rebuild_every, 1) == 0;
-      if (!cadence_rescan && !entry.pending_full_rebuild && !delta_poisoned) {
-        if (!entry.base_dist.empty()) {
-          // Incremental path: merge the recorded delta into the base
-          // distribution and re-bucket — O(|delta|), not O(|table|). A
-          // missing per-column sketch on a tracked table means no DML
-          // touched that column's values: an empty delta. An untracked
-          // table (its sketches were cleared by a previous partially-
-          // failed round after this entry merged them) is a whole-table
-          // empty delta: the base is still exact, and scaling would
-          // destroy it.
-          DeltaSketch* sketch =
-              deltas_.Find(table, entry.stat.leading_column().column);
-          bool changed = false;
-          const Status merged = RetryWithBackoff(
-              retry_policy_,
-              [&]() -> Status {
-                return TryMergeRefresh(&entry, sketch, rows, &changed);
-              },
-              &failure_counters_.build_retries);
-          if (!merged.ok()) {
-            // Stale fallback; the delta below is consumed regardless, so
-            // the retry on the next trigger must rescan.
-            ++failure_counters_.builds_failed;
-            ++failure_counters_.stale_fallbacks;
-            entry.pending_full_rebuild = true;
-            NotifyEntry(key);
-            if (obs::TraceActive()) {
-              obs::TraceEvent("stat.refresh_stale")
-                  .Str("key", key)
-                  .Str("mode", "merge")
-                  .Str("fence_reason", "merge_failed");
-            }
-            any_failed = true;
-            continue;
-          }
-          const double merge_cost = cost_model_.IncrementalRefreshCost(
-              sketch != nullptr
-                  ? static_cast<size_t>(sketch->rows_touched())
-                  : 0,
-              entry.stat.width());
-          cost += merge_cost;
-          if (obs::MetricsEnabled()) MergeCostHistogram()->Observe(merge_cost);
-          if (obs::TraceActive()) {
-            obs::TraceEvent("stat.refresh")
-                .Str("key", key)
-                .Str("mode", "merge")
-                .Bool("changed", changed)
-                .Num("cost", merge_cost);
-          }
-          any_changed = any_changed || changed;
-        } else {
-          // Legacy row-count scaling: the entry has no base distribution
-          // to merge into (already scaled once, or restored from a state
-          // that had none), so scale the existing histogram to the new
-          // row count until its next full rebuild.
-          Statistic scaled = entry.stat.ScaledTo(static_cast<double>(rows));
-          const bool changed = !SameStatistic(entry.stat, scaled);
-          entry.stat = std::move(scaled);
-          cost += cost_model_.fixed_overhead;  // O(buckets) metadata touch
-          if (obs::TraceActive()) {
-            obs::TraceEvent("stat.refresh")
-                .Str("key", key)
-                .Str("mode", "scale")
-                .Bool("changed", changed)
-                .Num("cost", cost_model_.fixed_overhead);
-          }
-          any_changed = any_changed || changed;
-        }
-      } else {
-        BuiltStatistic rebuilt;
-        const Status built = RetryWithBackoff(
-            retry_policy_,
-            [&]() -> Status {
-              Result<BuiltStatistic> stat = TryBuildStatisticWithDist(
-                  *db_, entry.stat.columns(), build_config_,
-                  faults::kStatsRefresh);
-              if (!stat.ok()) return stat.status();
-              rebuilt = std::move(*stat);
-              return Status::OK();
-            },
-            &failure_counters_.build_retries);
-        if (!built.ok()) {
-          // Keep the last-good statistic (stale but monotone-safe) and
-          // leave the modification counter so the next trigger retries.
-          ++failure_counters_.builds_failed;
-          ++failure_counters_.stale_fallbacks;
-          entry.pending_full_rebuild = true;
-          NotifyEntry(key);
-          if (obs::TraceActive()) {
-            obs::TraceEvent("stat.refresh_stale")
-                .Str("key", key)
-                .Str("mode", "rebuild")
-                .Str("fence_reason", "rebuild_failed");
-          }
-          any_failed = true;
-          continue;
-        }
-        entry.stat = std::move(rebuilt.stat);
-        entry.base_dist = std::move(rebuilt.leading_dist);
-        entry.pending_full_rebuild = false;
-        const double rebuild_cost =
-            cost_model_.UpdateCost(rows, entry.stat.width());
-        cost += rebuild_cost;
-        if (obs::MetricsEnabled()) {
-          RebuildCostHistogram()->Observe(rebuild_cost);
-        }
+      // Merge the table's delta into the base distribution and re-bucket
+      // (O(|delta|)), or rescan: without `incremental`, on the
+      // full_rebuild_every cadence, for a fenced entry, and when the delta
+      // stream is poisoned. An empty base (the table held no rows) merges
+      // like any other. A missing per-column sketch on a tracked table
+      // means no DML touched that column's values: an empty delta. An
+      // untracked table (its sketches were cleared by a previous
+      // partially-failed round after this entry merged them) is a
+      // whole-table empty delta: the base is still exact.
+      const bool merge =
+          policy.incremental &&
+          next_count % std::max(policy.full_rebuild_every, 1) != 0 &&
+          !entry.pending_full_rebuild && !delta_poisoned;
+      DeltaSketch* sketch =
+          merge ? deltas_.Find(table, entry.stat.leading_column().column)
+                : nullptr;
+      bool changed = true;  // rescans always bump stats_version
+      const Status refreshed = RetryWithBackoff(
+          retry_policy_,
+          [&]() -> Status {
+            if (merge) return TryMergeRefresh(&entry, sketch, rows, &changed);
+            Result<BuiltStatistic> rebuilt = TryBuildStatisticWithDist(
+                *db_, entry.stat.columns(), build_config_,
+                faults::kStatsRefresh);
+            if (!rebuilt.ok()) return rebuilt.status();
+            entry.stat = std::move(rebuilt->stat);
+            entry.base_dist = std::move(rebuilt->leading_dist);
+            entry.pending_full_rebuild = false;
+            return Status::OK();
+          },
+          &failure_counters_.build_retries);
+      const char* mode = merge ? "merge" : "rebuild";
+      if (!refreshed.ok()) {
+        // Stale fallback: keep the last-good statistic (stale but
+        // monotone-safe) and leave the modification counter so the next
+        // trigger retries — as a rescan, since the delta below is
+        // consumed regardless.
+        ++failure_counters_.builds_failed;
+        ++failure_counters_.stale_fallbacks;
+        entry.pending_full_rebuild = true;
+        NotifyEntry(key);
         if (obs::TraceActive()) {
-          obs::TraceEvent("stat.refresh")
+          obs::TraceEvent("stat.refresh_stale")
               .Str("key", key)
-              .Str("mode", "rebuild")
-              .Bool("changed", true)
-              .Num("cost", rebuild_cost);
+              .Str("mode", mode)
+              .Str("fence_reason", merge ? "merge_failed" : "rebuild_failed");
         }
-        any_changed = true;  // rescans always bump stats_version
+        any_failed = true;
+        continue;
       }
+      const double refresh_cost =
+          merge ? cost_model_.IncrementalRefreshCost(
+                      sketch != nullptr
+                          ? static_cast<size_t>(sketch->rows_touched())
+                          : 0,
+                      entry.stat.width())
+                : cost_model_.UpdateCost(rows, entry.stat.width());
+      cost += refresh_cost;
+      if (obs::MetricsEnabled()) {
+        (merge ? MergeCostHistogram() : RebuildCostHistogram())
+            ->Observe(refresh_cost);
+      }
+      if (obs::TraceActive()) {
+        obs::TraceEvent("stat.refresh")
+            .Str("key", key)
+            .Str("mode", mode)
+            .Bool("changed", changed)
+            .Num("cost", refresh_cost);
+      }
+      any_changed = any_changed || changed;
       entry.update_count = next_count;
       NotifyEntry(key);
     }

@@ -34,11 +34,9 @@ struct StatEntry {
   int64_t created_at = 0;      // logical time of (re)creation
   int64_t dropped_at = -1;     // logical time of last move to drop-list
   // Compressed leading-column distribution captured at the last full
-  // build — the base incremental refreshes merge delta sketches into.
-  // The journal, snapshots and catalog files carry it bit-exactly. Empty
-  // for entries refreshed by pure row-count scaling (and for entries
-  // restored from a state that had none): those keep scaling until their
-  // next full rebuild.
+  // build and advanced by every merge — the base incremental refreshes
+  // merge delta sketches into. The journal, snapshots and catalog files
+  // carry it bit-exactly. Empty only when the table held no rows.
   std::vector<ValueFreq> base_dist;
   // Set when the base distribution cannot be trusted to merge deltas
   // exactly: an incremental merge failed, the delta stream was poisoned,
@@ -52,12 +50,11 @@ struct StatEntry {
 
 // Controls when statistics on a table are refreshed: when the number of
 // modified rows exceeds `fraction * |T| + floor` (SQL Server 7.0 default
-// shape, §6). With `incremental` set, a refresh merges the table's delta
-// sketch (stats/delta_sketch.h) into the statistic's base distribution
-// and re-buckets — O(|delta|) — falling back to scaling the existing
-// histogram to the new row count when no delta stream was recorded; every
-// `full_rebuild_every`-th refresh of a statistic still rescans the data
-// to bound drift.
+// shape, §6). Without `incremental` every refresh rescans the data. With
+// it, a refresh merges the table's delta sketch (stats/delta_sketch.h)
+// into the statistic's base distribution and re-buckets — O(|delta|); no
+// recorded delta is an empty one. Every `full_rebuild_every`-th refresh
+// of a statistic still rescans to bound drift.
 struct UpdateTriggerPolicy {
   double fraction = 0.20;
   size_t floor = 500;
@@ -177,24 +174,25 @@ class StatsCatalog {
   // Refreshes the statistics of every table whose modification counter
   // exceeds the trigger; resets those counters. Returns cost units
   // charged. Drop-listed statistics are NOT refreshed — that is exactly
-  // the maintenance saving the paper's Table 1 measures. With
-  // `policy.incremental`, refreshes merge the table's delta sketch into
-  // each statistic's base distribution (O(|delta|)); a refresh whose
-  // resulting statistic is bit-identical to the old one does not bump
-  // stats_version, since no estimate can see it. Full
-  // rebuilds (the cadence rescans, poisoned-delta recoveries, and the
-  // non-incremental mode) always bump. A refresh that fails after retries
-  // keeps the last-good (stale) statistic, counts a stale fallback, and
-  // leaves the table's modification counter intact so the next trigger
-  // retries — as a full rescan, since the consumed delta is gone.
-  // Entries that did merge successfully in such a partially-failed round
-  // keep their (still exact) bases: when the retry re-triggers the table
-  // with its delta already consumed, they see an empty delta and no-op
-  // instead of degrading to row-count scaling. Drop-listed entries skip
-  // refreshes but are flagged pending_full_rebuild whenever their
-  // table's delta is consumed without them, so a resurrected statistic's
-  // first refresh rescans rather than merging onto a base that missed
-  // the drop-period DML.
+  // the maintenance saving the paper's Table 1 measures. Each entry
+  // either merges or rescans (mode "merge" or "rebuild"). It merges the
+  // table's delta sketch into its base distribution (O(|delta|)) when
+  // `policy.incremental` is set, the refresh is off the
+  // full_rebuild_every cadence, the entry is not pending_full_rebuild and
+  // the table's delta stream is not poisoned; otherwise it rescans. A
+  // merge whose resulting statistic is bit-identical to the old one does
+  // not bump stats_version, since no estimate can see it; a rescan
+  // always bumps. A refresh that fails after retries keeps the last-good
+  // (stale) statistic, counts a stale fallback, and leaves the table's
+  // modification counter intact so the next trigger retries — as a full
+  // rescan, since the consumed delta is gone. Entries that did merge
+  // successfully in such a partially-failed round keep their (still
+  // exact) bases: when the retry re-triggers the table with its delta
+  // already consumed, they merge an empty delta and no-op. Drop-listed
+  // entries skip refreshes but are flagged pending_full_rebuild whenever
+  // their table's delta is consumed without them, so a resurrected
+  // statistic's first refresh rescans rather than merging onto a base
+  // that missed the drop-period DML.
   double RefreshIfTriggered(const UpdateTriggerPolicy& policy);
 
   // Update cost the active statistics WOULD incur if refreshed now; used

@@ -137,7 +137,7 @@ TEST_F(AdvisorTest, WeightedMnsaFullFractionEqualsPlain) {
 
 // --- incremental refresh ---
 
-TEST_F(AdvisorTest, IncrementalRefreshScalesCheaply) {
+TEST_F(AdvisorTest, EmptyDeltaMergeIsCheap) {
   catalog_.CreateStatistic({t_.fact_val});
   UpdateTriggerPolicy policy;
   policy.fraction = 0.0;
@@ -146,22 +146,11 @@ TEST_F(AdvisorTest, IncrementalRefreshScalesCheaply) {
   policy.full_rebuild_every = 1000;  // never rebuild in this test
   catalog_.RecordModifications(t_.fact, 10);
   const double cost = catalog_.RefreshIfTriggered(policy);
-  // A scale refresh costs only the fixed overhead, far below a rebuild.
+  // No DML recorded a delta, so the refresh merges an empty one: it costs
+  // only the incremental overhead, far below a rebuild.
   EXPECT_GT(cost, 0.0);
   EXPECT_LT(cost, catalog_.cost_model().UpdateCost(
                       t_.db.table(t_.fact).num_rows(), 1) / 10.0);
-}
-
-TEST_F(AdvisorTest, ScaledStatisticTracksRowCount) {
-  const Statistic s = BuildStatistic(t_.db, {t_.fact_val}, {});
-  const Statistic scaled = s.ScaledTo(s.rows_at_build() * 2.0);
-  EXPECT_DOUBLE_EQ(scaled.rows_at_build(), s.rows_at_build() * 2.0);
-  EXPECT_DOUBLE_EQ(scaled.histogram().total_rows(),
-                   s.histogram().total_rows() * 2.0);
-  // Selectivities (fractions) are invariant under scaling.
-  EXPECT_NEAR(scaled.histogram().SelectivityEq(5.0),
-              s.histogram().SelectivityEq(5.0), 1e-12);
-  EXPECT_DOUBLE_EQ(scaled.PrefixDistinct(1), s.PrefixDistinct(1));
 }
 
 TEST_F(AdvisorTest, FullRebuildEveryNth) {
@@ -172,7 +161,7 @@ TEST_F(AdvisorTest, FullRebuildEveryNth) {
   policy.incremental = true;
   policy.full_rebuild_every = 2;
   catalog_.RecordModifications(t_.fact, 10);
-  const double first = catalog_.RefreshIfTriggered(policy);   // scale
+  const double first = catalog_.RefreshIfTriggered(policy);   // merge
   catalog_.RecordModifications(t_.fact, 10);
   const double second = catalog_.RefreshIfTriggered(policy);  // rebuild
   EXPECT_LT(first, second);

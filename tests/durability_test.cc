@@ -1,7 +1,8 @@
 // Crash-safety tests for the statistics catalog's durability layer
 // (stats/durability.h):
 //  1. Round trip: a cleanly closed journal + snapshot directory reopens
-//     to the bit-identical catalog, and a checkpoint loads through
+//     to the bit-identical catalog, a checkpoint resets the journal in
+//     place (same file, magic only), and a checkpoint loads through
 //     LoadCatalog with bit-identical entries.
 //  2. Crash-property sweep: simulated kills at every persistence fault
 //     point (append / fsync / rename), at every schedule position, with
@@ -14,7 +15,10 @@
 //     record instead of aborting; a corrupted newest snapshot falls back
 //     to an older one and the replay gap fences the whole catalog.
 //  4. Plain (non-kill) append failures keep the dirty sets so the next
-//     commit re-journals them under the same LSN.
+//     commit re-journals them under the same LSN; a plain failure at the
+//     journal reset fails only its checkpoint. A checkpoint makes one
+//     rename and two gated fsyncs, and Resume over a directory without a
+//     journal keeps the commits that follow it.
 //  5. Deferred fsync: with a deferral hook installed every commit owes
 //     its fsync to the hook's owner, and Flush() pays it (or, failing,
 //     keeps it owed).
@@ -27,6 +31,7 @@
 #include "stats/durability.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cstdint>
 #include <cstring>
@@ -265,18 +270,21 @@ void RecoverResumeAndCheck(const Workload& w, const std::string& dir,
 }
 
 // One full kill-recover-resume cycle with `point` armed to die at its
-// `nth` poke after persisting `torn_bytes` of the in-flight frame.
+// `nth` poke (counting only pokes whose detail contains `match`) after
+// persisting `torn_bytes` of the in-flight frame.
 void CrashCycle(const Workload& w, const Baseline& base, const char* point,
-                int64_t nth, int64_t torn_bytes) {
+                int64_t nth, int64_t torn_bytes,
+                const std::string& match = "") {
   const std::string label = std::string(point) + " nth=" +
                             std::to_string(nth) + " torn=" +
-                            std::to_string(torn_bytes);
+                            std::to_string(torn_bytes) + " match=" + match;
   const std::string dir = FreshDir("crash");
   FaultSchedule schedule;
   schedule.kind = FaultKind::kFailNth;
   schedule.nth = nth;
   schedule.count = 1;
   schedule.torn_write_bytes = torn_bytes;
+  schedule.match = match;
   FaultInjector::Instance().Arm(point, schedule);
   RunUntilCrash(w, dir);
   FaultInjector::Instance().Reset();
@@ -345,7 +353,15 @@ TEST_F(DurabilityTest, CleanCloseReopensBitIdentical) {
   fs::remove_all(dir, ec);
 }
 
-TEST_F(DurabilityTest, CheckpointPrunesSnapshotsAndSwapsJournal) {
+// The journal file's inode: a checkpoint resets the open journal in
+// place, so it never changes.
+ino_t JournalInode(const std::string& dir) {
+  struct stat st;
+  EXPECT_EQ(::stat((dir + "/journal.wal").c_str(), &st), 0);
+  return st.st_ino;
+}
+
+TEST_F(DurabilityTest, CheckpointPrunesSnapshotsAndResetsJournal) {
   const std::string dir = FreshDir("checkpoint");
   TwoTableDb t = MakeTwoTableDb(kFactRows, 100);
   StatsCatalog catalog(&t.db);
@@ -353,19 +369,23 @@ TEST_F(DurabilityTest, CheckpointPrunesSnapshotsAndSwapsJournal) {
       CatalogDurability::Open(&catalog, {.dir = dir, .keep_snapshots = 2});
   ASSERT_TRUE(opened.ok());
   CatalogDurability* d = opened->get();
+  const ino_t inode = JournalInode(dir);
 
   for (int i = 0; i < 3; ++i) {
     catalog.Tick();
     catalog.CreateStatistic({ColumnRef{t.fact, static_cast<ColumnId>(i)}});
     ASSERT_TRUE(d->CommitStatement().ok());
+    EXPECT_GT(fs::file_size(dir + "/journal.wal"), 8u);
     ASSERT_TRUE(d->Checkpoint().ok());
+    // Reset in place to magic only: the same file, no tmp journal.
+    EXPECT_EQ(fs::file_size(dir + "/journal.wal"), 8u);
+    EXPECT_EQ(JournalInode(dir), inode);
+    EXPECT_FALSE(fs::exists(dir + "/journal.tmp"));
   }
   // Three checkpoints at LSNs 1, 2, 3; only the newest two survive.
   EXPECT_FALSE(fs::exists(dir + "/snapshot-1.ckpt"));
   EXPECT_TRUE(fs::exists(dir + "/snapshot-2.ckpt"));
   EXPECT_TRUE(fs::exists(dir + "/snapshot-3.ckpt"));
-  // The journal was swapped fresh at the last checkpoint: magic only.
-  EXPECT_EQ(fs::file_size(dir + "/journal.wal"), 8u);
 
   const FsckReport report = FsckDurabilityDir(dir);
   EXPECT_TRUE(report.ok) << (report.findings.empty()
@@ -394,15 +414,21 @@ TEST_F(DurabilityTest, CrashSweepFsyncAndRenamePoints) {
   TwoTableDb t = MakeTwoTableDb(kFactRows, 100);
   const Workload w = CrashWorkload(t);
   const Baseline base = ComputeBaseline(w);
-  // fsync pokes: one per journal commit plus two per checkpoint (snapshot
-  // and journal-swap tmp files). Kills here model dying with the record
-  // already in the file (committed-but-unacked) or with an unpublished
-  // tmp snapshot.
+  // fsync pokes: one per journal commit plus two per checkpoint (the
+  // snapshot tmp file, then the journal reset). Checkpoints follow
+  // statements 3 and 6, so pokes 4 and 9 are snapshot fsyncs. Kills here
+  // model dying with the record already in the file (committed-but-
+  // unacked) or with an unpublished tmp snapshot.
   for (int64_t nth : {1, 2, 4, 6, 9, 12}) {
     CrashCycle(w, base, faults::kPersistenceFsync, nth, 0);
   }
-  // rename pokes: two per checkpoint (snapshot publish, journal swap).
-  for (int64_t nth : {1, 2, 3, 4}) {
+  // Each checkpoint's journal reset (fsync pokes 5 and 10), picked by
+  // detail: a published snapshot beside a journal that was not reset.
+  for (int64_t nth : {1, 2}) {
+    CrashCycle(w, base, faults::kPersistenceFsync, nth, 0, "journal-reset");
+  }
+  // rename pokes: one per checkpoint (the snapshot publish).
+  for (int64_t nth : {1, 2}) {
     CrashCycle(w, base, faults::kPersistenceRename, nth, 0);
   }
 }
@@ -547,7 +573,7 @@ TEST_F(DurabilityTest, CorruptSnapshotFallsBackAndReplayGapFencesAll) {
     catalog.Tick();
     catalog.CreateStatistic({t.fact_val});
     ASSERT_TRUE(d->CommitStatement().ok());
-    ASSERT_TRUE(d->Checkpoint().ok());  // snapshot-2, fresh journal
+    ASSERT_TRUE(d->Checkpoint().ok());  // snapshot-2, journal reset
     catalog.Tick();
     catalog.CreateStatistic({t.fact_grp});
     ASSERT_TRUE(d->CommitStatement().ok());  // LSN 3, journal only
@@ -672,6 +698,106 @@ TEST_F(DurabilityTest, PoisonedFlushIsRetriedNotDropped) {
   EXPECT_EQ(info.last_lsn, 2u);
   EXPECT_NE(recovered.FindEntry(MakeStatKey({t.fact_fk})), nullptr);
   EXPECT_NE(recovered.FindEntry(MakeStatKey({t.fact_val})), nullptr);
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST_F(DurabilityTest, CheckpointRenamesOnceAndGatesTwoFsyncs) {
+  const std::string dir = FreshDir("pokes");
+  TwoTableDb t = MakeTwoTableDb(kFactRows, 100);
+  StatsCatalog catalog(&t.db);
+  std::unique_ptr<CatalogDurability> d;
+  CommitThreeStatistics(dir, t, &catalog, &d);
+  FaultSchedule never;
+  never.nth = int64_t{1} << 40;
+  FaultInjector::Instance().Arm(faults::kPersistenceFsync, never);
+  FaultInjector::Instance().Arm(faults::kPersistenceRename, never);
+  ASSERT_TRUE(d->Checkpoint().ok());
+  // One rename publishes the snapshot. The gated fsyncs are the snapshot
+  // tmp file's and the journal reset's; the directory fsync after the
+  // rename is the third, ungated.
+  EXPECT_EQ(
+      FaultInjector::Instance().PointStats(faults::kPersistenceRename).hits,
+      1);
+  EXPECT_EQ(
+      FaultInjector::Instance().PointStats(faults::kPersistenceFsync).hits, 2);
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST_F(DurabilityTest, PlainResetFailureFailsOnlyThatCheckpoint) {
+  const std::string dir = FreshDir("resetfail");
+  const std::string journal = dir + "/journal.wal";
+  TwoTableDb t = MakeTwoTableDb(kFactRows, 100);
+  StatsCatalog catalog(&t.db);
+  std::unique_ptr<CatalogDurability> d;
+  CommitThreeStatistics(dir, t, &catalog, &d);
+  FaultSchedule schedule;  // torn_write_bytes stays -1: plain failure
+  schedule.nth = 1;
+  schedule.count = 1;
+  schedule.match = "journal-reset";
+  FaultInjector::Instance().Arm(faults::kPersistenceFsync, schedule);
+
+  // The snapshot is published, the journal keeps its records (all at or
+  // below the snapshot LSN), and the writer stays live.
+  EXPECT_FALSE(d->Checkpoint().ok());
+  EXPECT_FALSE(d->crashed());
+  EXPECT_TRUE(fs::exists(dir + "/snapshot-3.ckpt"));
+  EXPECT_GT(fs::file_size(journal), 8u);
+
+  catalog.Tick();
+  catalog.CreateStatistic({t.fact_flag});
+  ASSERT_TRUE(d->CommitStatement().ok());
+  ASSERT_TRUE(d->Checkpoint().ok());
+  EXPECT_EQ(fs::file_size(journal), 8u);
+  const FsckReport report = FsckDurabilityDir(dir);
+  EXPECT_TRUE(report.ok) << (report.findings.empty()
+                                 ? ""
+                                 : report.findings.front());
+
+  StatsCatalog recovered(&t.db);
+  RecoveryInfo info;
+  Result<std::unique_ptr<CatalogDurability>> reopened =
+      CatalogDurability::Open(&recovered, {.dir = dir}, &info);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(info.snapshot_lsn, 4u);
+  EXPECT_EQ(info.last_lsn, 4u);
+  EXPECT_EQ(DumpCatalog(recovered), DumpCatalog(catalog));
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+TEST_F(DurabilityTest, ResumeOverMissingJournalKeepsLaterCommits) {
+  // Resume opens the journal in append mode, which over a directory
+  // without one creates an empty file; its checkpoint must leave a
+  // journal recovery can read, so the commits after it survive.
+  const std::string dir = FreshDir("resume");
+  TwoTableDb t = MakeTwoTableDb(kFactRows, 100);
+  StatsCatalog catalog(&t.db);
+  catalog.Tick();
+  catalog.CreateStatistic({t.fact_fk});
+  constexpr uint64_t kResumeLsn = 5;
+  Result<std::unique_ptr<CatalogDurability>> resumed =
+      CatalogDurability::Resume(&catalog, {.dir = dir}, kResumeLsn);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  for (const ColumnRef& c : {t.fact_val, t.fact_grp}) {
+    catalog.Tick();
+    catalog.CreateStatistic({c});
+    ASSERT_TRUE((*resumed)->CommitStatement().ok());
+  }
+  resumed->reset();
+
+  StatsCatalog recovered(&t.db);
+  RecoveryInfo info;
+  Result<std::unique_ptr<CatalogDurability>> reopened =
+      CatalogDurability::Open(&recovered, {.dir = dir}, &info);
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ(info.snapshot_lsn, kResumeLsn);
+  EXPECT_EQ(info.last_lsn, kResumeLsn + 2);
+  EXPECT_EQ(info.records_replayed, 2u);
+  EXPECT_NE(recovered.FindEntry(MakeStatKey({t.fact_val})), nullptr);
+  EXPECT_NE(recovered.FindEntry(MakeStatKey({t.fact_grp})), nullptr);
+  EXPECT_EQ(DumpCatalog(recovered), DumpCatalog(catalog));
   std::error_code ec;
   fs::remove_all(dir, ec);
 }

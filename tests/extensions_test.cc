@@ -189,7 +189,7 @@ TEST_F(PersistenceTest, EmptyCatalogRoundTrips) {
   EXPECT_EQ(restored.num_active(), 0u);
 }
 
-TEST_F(PersistenceTest, ReloadFencesEntriesThatHeldABase) {
+TEST_F(PersistenceTest, ReloadFencesEveryEntry) {
   // A freshly built statistic carries an in-memory base distribution. It
   // round-trips bit-exactly, but the loading process never saw the DML
   // since the save, so the reloaded entry must come back flagged for a
@@ -209,16 +209,17 @@ TEST_F(PersistenceTest, ReloadFencesEntriesThatHeldABase) {
                         saved.base_dist.size() * sizeof(ValueFreq)),
             0);  // bit-identical
 
-  // The converse: an entry saved with no base and no fence loads unfenced
-  // — only entries whose base could miss modifications are fenced.
+  // An entry saved with no base and no fence comes back fenced too: an
+  // empty base merges like any other, so it could miss modifications just
+  // the same.
   StatEntry baseless = saved;
   baseless.base_dist.clear();
   catalog_.RestoreEntry(std::move(baseless));
   ASSERT_TRUE(SaveCatalog(catalog_, path_.string()).ok());
-  StatsCatalog unfenced(&t_.db);
-  ASSERT_TRUE(LoadCatalog(&unfenced, path_.string()).ok());
-  EXPECT_FALSE(
-      unfenced.FindEntry(MakeStatKey({t_.fact_val}))->pending_full_rebuild);
+  StatsCatalog fenced(&t_.db);
+  ASSERT_TRUE(LoadCatalog(&fenced, path_.string()).ok());
+  EXPECT_TRUE(
+      fenced.FindEntry(MakeStatKey({t_.fact_val}))->pending_full_rebuild);
 }
 
 TEST_F(PersistenceTest, TruncatedFileIsAllOrNothing) {

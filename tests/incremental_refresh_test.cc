@@ -5,7 +5,8 @@
 //     volume accounting, poisoning.
 //  2. Exactness: under full-scan builds an incremental refresh produces a
 //     statistic bit-identical to a full rebuild of the mutated table —
-//     insert-only and mixed insert/update/delete streams alike.
+//     insert-only and mixed insert/update/delete streams alike, and onto
+//     the empty base of a statistic built on an empty table.
 //  3. Degradation: a stats.delta fault poisons the stream and downgrades
 //     the next refresh to a full rescan; a faulted merge falls back to the
 //     stale statistic and the retry rescans — both recover to the exact
@@ -439,20 +440,59 @@ TEST_F(IncrementalRefreshTest, NoOpMergeDoesNotBumpStatsVersion) {
   EXPECT_GT(catalog.stats_version(), before);
 }
 
-TEST_F(IncrementalRefreshTest, NoOpScaleDoesNotBumpStatsVersion) {
-  // An entry without a base distribution (as restored from a state that
-  // had none) takes the legacy scaling path — with an unchanged row count
-  // it is also a no-op.
+TEST_F(IncrementalRefreshTest, EmptyTableStatisticMergesLikeAnyOther) {
+  // A statistic built on an empty table has an empty base and merges like
+  // any other entry: under full scans ApplyDelta({}, delta) is exactly the
+  // rebuilt distribution.
+  TwoTableDb t = MakeTwoTableDb(0, 100);
+  StatsCatalog catalog(&t.db);
+  ASSERT_TRUE(catalog.TryCreateStatistic({t.fact_val}).ok());
+  const StatKey key = MakeStatKey({t.fact_val});
+  ASSERT_TRUE(catalog.FindEntry(key)->base_dist.empty());
+
+  // Modifications with no DML merge an empty delta: a no-op.
+  catalog.RecordModifications(t.fact, 100);
+  uint64_t version = catalog.stats_version();
+  EXPECT_GT(catalog.RefreshIfTriggered(MergeAlways()), 0.0);
+  EXPECT_EQ(catalog.stats_version(), version);
+
+  // Inserts copy existing rows, so the first row is appended and recorded
+  // by hand, as a loader recording deltas would; the rest are inserts
+  // through TryApplyDml.
+  Table& fact = t.db.mutable_table(t.fact);
+  fact.AppendRow({Datum(int64_t{3}), Datum(int64_t{42}), Datum(int64_t{1}),
+                  Datum(int64_t{0})});
+  for (ColumnId c = 0; c < fact.schema().num_columns(); ++c) {
+    catalog.mutable_deltas()->Record(t.fact, c, fact.column(c).NumericKey(0),
+                                     +1);
+  }
+  Result<size_t> applied =
+      TryApplyDml(&t.db, Insert(t.fact, 300, 23), catalog.mutable_deltas());
+  ASSERT_TRUE(applied.ok());
+  catalog.RecordModifications(t.fact, 1 + *applied);
+  version = catalog.stats_version();
+  EXPECT_GT(catalog.RefreshIfTriggered(MergeAlways()), 0.0);
+  EXPECT_GT(catalog.stats_version(), version);
+  EXPECT_EQ(catalog.FindEntry(key)->update_count, 2);
+  EXPECT_FALSE(catalog.FindEntry(key)->base_dist.empty());
+  EXPECT_EQ(DumpStat(*catalog.Find(key)), FullRebuildDump(t.db, {t.fact_val}));
+}
+
+TEST_F(IncrementalRefreshTest, NonIncrementalPolicyAlwaysRescans) {
+  // Without `incremental` every refresh rescans: it is charged for the
+  // whole table and bumps stats_version although no value changed, where
+  // a merge of this empty delta would do neither.
   TwoTableDb t = MakeTwoTableDb(4000, 100);
   StatsCatalog catalog(&t.db);
   ASSERT_TRUE(catalog.TryCreateStatistic({t.fact_val}).ok());
-  StatEntry restored = *catalog.FindEntry(MakeStatKey({t.fact_val}));
-  restored.base_dist.clear();
-  catalog.RestoreEntry(std::move(restored));
+  UpdateTriggerPolicy trigger = MergeAlways();
+  trigger.incremental = false;
   catalog.RecordModifications(t.fact, 100);
   const uint64_t version = catalog.stats_version();
-  EXPECT_GT(catalog.RefreshIfTriggered(MergeAlways()), 0.0);
-  EXPECT_EQ(catalog.stats_version(), version);
+  EXPECT_DOUBLE_EQ(catalog.RefreshIfTriggered(trigger),
+                   catalog.cost_model().UpdateCost(
+                       t.db.table(t.fact).num_rows(), /*width=*/1));
+  EXPECT_GT(catalog.stats_version(), version);
 }
 
 TEST_F(IncrementalRefreshTest, NoOpEmptyMergeDoesNotBumpStatsVersion) {
@@ -551,7 +591,7 @@ TEST_F(IncrementalRefreshTest, PartialFailureKeepsMergedBasesExact) {
 
   // The kept counter re-triggers the table with its delta already
   // consumed. The merged entry's base is still exact: it must see an
-  // empty delta and keep the base, not degrade to row-count scaling.
+  // empty delta and keep the base.
   catalog.RefreshIfTriggered(MergeAlways());
   EXPECT_FALSE(
       catalog.FindEntry(MakeStatKey({t.fact_val}))->base_dist.empty());
